@@ -78,19 +78,26 @@ SCHEMAS = {
 }
 
 
+# options every experiment takes; like the schema keys they can come from a
+# config file, and they are not part of the experiment's results params
+COMMON = {
+    "out": (str, "clarklab-output", "output directory"),
+    "seed": (int, 0, "rng seed"),
+    "threads": (int, 1, "worker threads"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clarklab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        for key, (typ, default, help_text) in schema.items():
+        # every default is None so that resolution can tell a flag that was
+        # given from one that was not, whichever spelling it used
+        for key, (typ, default, help_text) in {**schema, **COMMON}.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
                            help=f"{help_text} (default {default})")
         p.add_argument("--config", type=str, help="flat key = value config file")
-        p.add_argument("--out", type=str, default="clarklab-output",
-                       help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="rng seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 
@@ -108,12 +115,6 @@ def _load_config(path: str, schema: dict, parser: _Parser) -> dict:
             parser.error(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key in ("seed", "threads"):
-            values[key] = int(val.strip())
-            continue
-        if key == "out":
-            values[key] = val.strip()
-            continue
         if key not in schema:
             parser.error(f"{path}:{lineno}: unknown key '{key}'")
         typ = schema[key][0]
@@ -376,18 +377,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     schema = SCHEMAS[ns.experiment]
+    options = {**schema, **COMMON}
 
     if ns.config:
-        file_values = _load_config(ns.config, schema, parser)
+        file_values = _load_config(ns.config, options, parser)
     else:
         file_values = {}
     # resolution order: schema default < config file < explicit flag
-    for key, (_typ, default, _help) in schema.items():
+    for key, (_typ, default, _help) in options.items():
         if getattr(ns, key) is None:
             setattr(ns, key, file_values.get(key, default))
-    for key in ("seed", "threads", "out"):
-        if key in file_values and f"--{key}" not in (argv or sys.argv[1:]):
-            setattr(ns, key, file_values[key])
+    if ns.experiment == "scan" and ns.seeds < 1:
+        parser.error("seeds must be positive")
 
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -44,6 +44,13 @@ class Functional:
         finite-difference check to skip coordinates sitting on a kink."""
         return None
 
+    def step_blocks(self):
+        """Coordinate blocks that the descent solver steps separately, as
+        (slice, capped) pairs; a capped block's step never exceeds the
+        solver's step_cap.  The default is one capped block covering every
+        coordinate."""
+        return ((slice(None), True),)
+
     def evaluate(self, point: Point) -> float:
         self._check(point)
         return float(self.value_of(point.coords))

@@ -8,6 +8,15 @@ energies are non-increasing along every trajectory except for rounding
 at the ~1e-14 scale.  Seeds are independent; the batch driver
 advances all of them in lockstep with per-row step sizes, which is what
 makes thousand-seed scans cheap in numpy.
+
+A functional may split its coordinates into blocks (``step_blocks``).
+Each block of each row then keeps its own Armijo step and its own flow
+time, and the blocks are updated in alternating sweeps: block coordinate
+descent (Tseng, JOTA 2001) under the same acceptance test, measured with
+the Euclidean norm of the block's gradient.  The coordinate model uses
+this to let the parameter t drift on its tiny gradient with a step the
+stiff x-modes would otherwise cap.  With one block (every H01 functional)
+the iteration is the plain full-gradient flow in the space norm.
 """
 
 from __future__ import annotations
@@ -32,9 +41,11 @@ from .spaces import Point
 
 @dataclass(frozen=True)
 class SolveConfig:
-    # step_cap sits below the explicit-Euler stability edge 2/lambda = 4 of
-    # the coordinate models' branch modes (curvature 1/2); larger caps buy
-    # nothing there and smaller ones slow the drift phase down badly.
+    # step_cap bounds the step of every capped block (see
+    # Functional.step_blocks).  It sits below the explicit-Euler stability
+    # edge 2/lambda = 4 of the coordinate models' branch modes (curvature
+    # 1/2); larger caps buy nothing there.  Uncapped blocks, such as the
+    # model's t, grow their step as far as the Armijo test allows.
     residual_tol: float = 1e-8
     max_flow_time: float = 1e6
     step_cap: float = 3.8
@@ -61,8 +72,8 @@ _ENERGY_NOISE = 32.0 * np.finfo(float).eps
 
 @dataclass
 class NonConvergence:
-    """Terminal state of a flow that ran out of time budget; carries the
-    best iterate seen so that callers can still inspect it."""
+    """Terminal state of a flow that stopped before the residual tolerance;
+    carries the last iterate so that callers can still inspect it."""
 
     point: Point
     value: float
@@ -79,6 +90,17 @@ class NoSolution:
     note: str = "scalar equation has no verified root"
 
 
+# why a batch row stopped
+STOP_CONVERGED = "converged"
+STOP_BUDGET = "budget"      # flow time reached max_flow_time
+STOP_STALLED = "stalled"    # a step shrank below min_step
+
+_STOP_NOTES = {
+    STOP_BUDGET: "time budget exhausted",
+    STOP_STALLED: "step collapsed below min_step",
+}
+
+
 @dataclass
 class _RowResult:
     coords: np.ndarray
@@ -86,19 +108,30 @@ class _RowResult:
     residual: float
     flow_time: float
     steps: int
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == STOP_CONVERGED
 
 
 def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     """Advance every seed row of ``seeds`` (shape (m, dim)) to residual
-    tolerance or time budget; returns a _RowResult per row."""
+    tolerance, time budget or step collapse; returns a _RowResult per row.
+
+    Iteration k proposes a step on block k mod nb of ``f.step_blocks()``.
+    A row's flow time is the smallest of its blocks' flow times.
+    """
     space = f.space
     u = np.array(seeds, dtype=float)
     if u.ndim == 1:
         u = u[None, :]
     m = u.shape[0]
-    h = np.full(m, cfg.initial_step)
-    tau = np.zeros(m)
+    blocks = f.step_blocks()
+    nb = len(blocks)
+    caps = [cfg.step_cap if capped else np.inf for _, capped in blocks]
+    h = np.full((m, nb), cfg.initial_step)
+    tau = np.zeros((m, nb))
     steps = np.zeros(m, dtype=int)
     energy = f.value_of(u)
     grad = f.grad_of(u)
@@ -106,19 +139,33 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     gg = res * res
     active = res > cfg.residual_tol
 
+    k = 0
     while np.any(active):
         idx = np.flatnonzero(active)
-        prop = u[idx] - h[idx, None] * grad[idx]
+        b = k % nb
+        hb = h[idx, b]
+        if nb == 1:
+            prop = u[idx] - hb[:, None] * grad[idx]
+            gnorm2 = gg[idx]
+        else:
+            sl = blocks[b][0]
+            gb = grad[idx, sl]
+            prop = u[idx]
+            prop[:, sl] -= hb[:, None] * gb
+            gnorm2 = np.sum(gb * gb, axis=1)
         e_prop = np.atleast_1d(f.value_of(prop))
         slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy[idx]))
-        accept = e_prop <= energy[idx] - cfg.armijo * h[idx] * gg[idx] + slack
+        accept = e_prop <= energy[idx] - cfg.armijo * hb * gnorm2 + slack
 
         acc = idx[accept]
         if acc.size:
             u[acc] = prop[accept]
             energy[acc] = e_prop[accept]
-            tau[acc] += h[acc]
-            h[acc] = np.minimum(h[acc] * cfg.grow, cfg.step_cap)
+            tau[acc, b] += h[acc, b]
+            # a block whose gradient vanishes exactly (the model's t at the
+            # clamp corners) keeps its step, so an uncapped step stays finite
+            grow = acc[gnorm2[accept] > 0.0]
+            h[grow, b] = np.minimum(h[grow, b] * cfg.grow, caps[b])
             g_new = f.grad_of(u[acc])
             grad[acc] = g_new
             r_new = np.atleast_1d(space.norm(g_new))
@@ -126,24 +173,32 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             gg[acc] = r_new * r_new
 
         rej = idx[~accept]
-        h[rej] *= cfg.shrink
+        h[rej, b] *= cfg.shrink
         steps[idx] += 1
+        k += 1
 
         done = res[idx] <= cfg.residual_tol
-        out_of_time = tau[idx] >= cfg.max_flow_time
-        stalled = h[idx] < cfg.min_step
+        out_of_time = np.min(tau[idx], axis=1) >= cfg.max_flow_time
+        stalled = h[idx, b] < cfg.min_step
         active[idx[done | out_of_time | stalled]] = False
 
+    flow_time = np.min(tau, axis=1)
     results = []
     for i in range(m):
+        if res[i] <= cfg.residual_tol:
+            stop = STOP_CONVERGED
+        elif flow_time[i] >= cfg.max_flow_time:
+            stop = STOP_BUDGET
+        else:
+            stop = STOP_STALLED
         results.append(
             _RowResult(
                 coords=u[i].copy(),
                 value=float(energy[i]),
                 residual=float(res[i]),
-                flow_time=float(tau[i]),
+                flow_time=float(flow_time[i]),
                 steps=int(steps[i]),
-                converged=bool(res[i] <= cfg.residual_tol),
+                stop=stop,
             )
         )
     return results
@@ -154,8 +209,9 @@ def gradient_flow_solve(f: Functional, seed: Point, cfg: SolveConfig | None = No
     """Descent flow from a single seed.
 
     Returns a CriticalPoint on convergence (labelled through ``classifier``
-    when given, ``other`` otherwise) or a NonConvergence carrying the best
-    iterate when the time budget runs out first.
+    when given, ``other`` otherwise) or a NonConvergence carrying the last
+    iterate, whose note says whether the time budget ran out or the step
+    collapsed.
     """
     cfg = cfg or SolveConfig()
     f._check(seed)
@@ -163,7 +219,7 @@ def gradient_flow_solve(f: Functional, seed: Point, cfg: SolveConfig | None = No
     pt = Point(row.coords, f.space)
     if not row.converged:
         return NonConvergence(point=pt, value=row.value, residual=row.residual,
-                              flow_time=row.flow_time)
+                              flow_time=row.flow_time, note=_STOP_NOTES[row.stop])
     if classifier is not None:
         label, pattern = classifier(row.coords, cfg.residual_tol)
     else:

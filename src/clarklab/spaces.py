@@ -111,11 +111,11 @@ class H01Grid:
         integral is the trapezoid rule on the grid: solves A g = h f."""
         f = np.asarray(f, dtype=float)
         rhs = self.mesh_width * f
-        if rhs.ndim == 1:
-            return cho_solve_banded((self._chol, False), rhs)
+        # one banded solve with every row as a right-hand-side column; LAPACK
+        # solves column by column, so each row's result is the same as alone
         flat = rhs.reshape(-1, self.nodes)
-        out = np.stack([cho_solve_banded((self._chol, False), row) for row in flat])
-        return out.reshape(rhs.shape)
+        out = cho_solve_banded((self._chol, False), flat.T).T
+        return np.ascontiguousarray(out).reshape(rhs.shape)
 
     def trapezoid(self, values):
         """Trapezoid quadrature of nodal values extended by zero boundaries."""

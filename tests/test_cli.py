@@ -64,6 +64,36 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert results["seed"] == 3
 
 
+def test_equals_form_flags_beat_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 7\nthreads = 2\nout = {tmp_path / 'from-file'}\n",
+                   encoding="utf-8")
+    out = tmp_path / "from-flag"
+    proc = run_cli("enumerate", "--n", "1", "--z-samples", "3", "--config", str(cfg),
+                   "--seed=5", "--threads=3", f"--out={out}")
+    assert proc.returncode == 0, proc.stderr
+    manifest = read_json(out / "manifest.json")
+    assert manifest["seed"] == 5
+    assert manifest["threads"] == 3
+    assert not (tmp_path / "from-file").exists()
+
+
+def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
+    for line in ("seed = x\n", "threads = 1.5\n"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line, encoding="utf-8")
+        proc = run_cli("enumerate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "bad value" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_scan_with_no_seeds_is_a_usage_error(tmp_path):
+    proc = run_cli("scan", "--seeds", "0", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "seeds must be positive" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # one small run per experiment
 

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from clarklab.deformation import TwoClusterFunctional
 
 from clarklab.errors import InvalidParams
 from clarklab.models import (
     ClarkModel,
     CriticalSetOracle,
     ModelParams,
+    SublinearEnergy,
+    WrapperFunctional,
     clark_model,
     classify_model_point,
     enumerate_critical_set,
@@ -228,3 +235,34 @@ def test_wrapper_gradient_passes_fd_across_the_seam_region():
         u *= np.sqrt(target) / grid.norm(u)
         report = fd_gradient_check(w, Point(u, grid))
         assert report.max_rel_error < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# property tests: evenness of every functional that declares it
+
+EVEN_FUNCTIONALS = {
+    "clark_n1": clark_model(n=1),
+    "clark_n3": clark_model(n=3),
+    "sublinear": sublinear_energy(H01Grid(7)),
+    "wrapper": wrapper_functional(H01Grid(7)),
+    "two_cluster": TwoClusterFunctional(),
+}
+
+
+def test_property_suite_covers_every_even_functional():
+    covered = {type(f) for f in EVEN_FUNCTIONALS.values()}
+    assert all(f.evenness_declared for f in EVEN_FUNCTIONALS.values())
+    assert covered == {ClarkModel, SublinearEnergy, WrapperFunctional, TwoClusterFunctional}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EVEN_FUNCTIONALS)), data=st.data())
+def test_even_functionals_have_even_values_and_odd_gradients(name, data):
+    f = EVEN_FUNCTIONALS[name]
+    # batches reach both sides of the wrapper's seam ||u|| = 1 and the
+    # model's clamps |t| = 1; H01 norms are ~nodes times the entries
+    scale = 0.5 if isinstance(f.space, H01Grid) else 2.0
+    u = data.draw(hnp.arrays(np.float64, (3, f.space.dim),
+                             elements=st.floats(-scale, scale, allow_nan=False)))
+    assert np.array_equal(f.value_of(-u), f.value_of(u))
+    assert np.array_equal(f.grad_of(-u), -f.grad_of(u))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarklab.errors import InvalidParams
 from clarklab.models import (
@@ -7,8 +9,10 @@ from clarklab.models import (
     ModelParams,
     clark_model,
     classify_model_point,
+    sublinear_energy,
 )
 from clarklab.solvers import (
+    _ENERGY_NOISE,
     NonConvergence,
     NoSolution,
     SolveConfig,
@@ -20,7 +24,7 @@ from clarklab.solvers import (
     model_seed_sampler,
     structured_solve,
 )
-from clarklab.spaces import L2Truncation, Point
+from clarklab.spaces import H01Grid, L2Truncation, Point
 
 
 def test_flow_converges_to_the_nearest_branch_point():
@@ -46,9 +50,27 @@ def test_flow_returns_nonconvergence_when_budget_runs_out():
     cfg = SolveConfig(max_flow_time=0.5)
     out = gradient_flow_solve(model, Point(np.array([0.5, 0.2, 0.1]), model.space), cfg)
     assert isinstance(out, NonConvergence)
+    assert out.note == "time budget exhausted"
     assert out.flow_time >= 0.5
     assert out.residual > 1e-8
     assert np.all(np.isfinite(out.point.coords))
+    row = gradient_flow_solve_batch(model, out.point.coords, cfg)[0]
+    assert row.stop == "budget" and not row.converged
+
+
+def test_flow_reports_a_collapsed_step_as_stalled():
+    # a step floor above the initial step stops the row after its first
+    # iteration with the step below min_step, far inside the time budget
+    model = clark_model(n=2)
+    cfg = SolveConfig(min_step=1.0)
+    seed = Point(np.array([0.5, 0.2, 0.1]), model.space)
+    out = gradient_flow_solve(model, seed, cfg)
+    assert isinstance(out, NonConvergence)
+    assert out.note == "step collapsed below min_step"
+    assert out.flow_time < cfg.max_flow_time
+    row = gradient_flow_solve_batch(model, seed.coords, cfg)[0]
+    assert row.stop == "stalled" and not row.converged
+    assert row.steps == 1
 
 
 def test_batch_rows_match_single_seed_solves():
@@ -62,6 +84,127 @@ def test_batch_rows_match_single_seed_solves():
         assert np.array_equal(single.coords, row.coords)
         assert single.value == row.value
         assert single.steps == row.steps
+
+
+def _full_gradient_reference(f, seeds, cfg):
+    """The lockstep loop with one shared step per row, written out on its
+    own: the batch solver's one-block path must reproduce it bit for bit."""
+    u = np.array(seeds, dtype=float)
+    m = u.shape[0]
+    h = np.full(m, cfg.initial_step)
+    tau = np.zeros(m)
+    steps = np.zeros(m, dtype=int)
+    energy = f.value_of(u)
+    grad = f.grad_of(u)
+    res = np.asarray(f.space.norm(grad))
+    gg = res * res
+    active = res > cfg.residual_tol
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        prop = u[idx] - h[idx, None] * grad[idx]
+        e_prop = np.atleast_1d(f.value_of(prop))
+        slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy[idx]))
+        accept = e_prop <= energy[idx] - cfg.armijo * h[idx] * gg[idx] + slack
+        acc = idx[accept]
+        if acc.size:
+            u[acc] = prop[accept]
+            energy[acc] = e_prop[accept]
+            tau[acc] += h[acc]
+            h[acc] = np.minimum(h[acc] * cfg.grow, cfg.step_cap)
+            grad[acc] = f.grad_of(u[acc])
+            res[acc] = np.atleast_1d(f.space.norm(grad[acc]))
+            gg[acc] = res[acc] * res[acc]
+        h[idx[~accept]] *= cfg.shrink
+        steps[idx] += 1
+        stop = ((res[idx] <= cfg.residual_tol) | (tau[idx] >= cfg.max_flow_time)
+                | (h[idx] < cfg.min_step))
+        active[idx[stop]] = False
+    return u, energy, tau, steps
+
+
+def test_one_block_path_is_the_full_gradient_flow():
+    f = sublinear_energy(H01Grid(8))
+    assert len(f.step_blocks()) == 1
+    seeds = ball_seed_sampler(f.space, 1.0, np.random.default_rng(4), 12)
+    cfg = SolveConfig(max_flow_time=30.0)
+    rows = gradient_flow_solve_batch(f, seeds, cfg)
+    u, energy, tau, steps = _full_gradient_reference(f, seeds, cfg)
+    assert max(r.steps for r in rows) > 20
+    for i, row in enumerate(rows):
+        assert np.array_equal(row.coords, u[i])
+        assert row.value == energy[i]
+        assert row.flow_time == tau[i]
+        assert row.steps == steps[i]
+
+
+# ---------------------------------------------------------------------------
+# property tests of the batch solver, on the coordinate model's two step
+# blocks and on the one-block path of an H01 functional
+
+SOLVE_CASES = {
+    "blocks": (clark_model(n=2), SolveConfig(),
+               lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
+    "one_block": (sublinear_energy(H01Grid(6)), SolveConfig(max_flow_time=10.0),
+                  lambda f, rng, m: ball_seed_sampler(f.space, 1.0, rng, m)),
+}
+solve_cases = st.sampled_from(sorted(SOLVE_CASES))
+rng_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _solve_case(name, seed, m=8):
+    f, cfg, sampler = SOLVE_CASES[name]
+    seeds = sampler(f, np.random.default_rng(seed), m)
+    return f, cfg, seeds, gradient_flow_solve_batch(f, seeds, cfg)
+
+
+def _same_row(a, b, sign=1.0):
+    return (np.array_equal(a.coords, sign * b.coords) and a.value == b.value
+            and a.residual == b.residual and a.flow_time == b.flow_time
+            and a.steps == b.steps and a.stop == b.stop)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=solve_cases, seed=rng_seeds)
+def test_batch_terminals_are_exactly_odd(name, seed):
+    f, cfg, seeds, rows = _solve_case(name, seed)
+    mirrored = gradient_flow_solve_batch(f, -seeds, cfg)
+    assert all(_same_row(b, a, sign=-1.0) for a, b in zip(rows, mirrored))
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=solve_cases, seed=rng_seeds, data=st.data())
+def test_rows_do_not_depend_on_order_or_batch_mates(name, seed, data):
+    f, cfg, seeds, rows = _solve_case(name, seed)
+    perm = data.draw(st.permutations(range(len(seeds))))
+    keep = data.draw(st.integers(1, len(seeds)))
+    shuffled = gradient_flow_solve_batch(f, seeds[perm], cfg)
+    assert all(_same_row(s, rows[p]) for s, p in zip(shuffled, perm))
+    alone = gradient_flow_solve_batch(f, seeds[:keep], cfg)
+    assert all(_same_row(a, r) for a, r in zip(alone, rows))
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=solve_cases, seed=rng_seeds)
+def test_no_terminal_energy_rises_above_its_seed(name, seed):
+    f, _, seeds, rows = _solve_case(name, seed)
+    start = f.value_of(seeds)
+    band = _ENERGY_NOISE * np.maximum(1.0, np.abs(start))
+    assert all(r.value <= e + b for r, e, b in zip(rows, start, band))
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=6))
+def test_stationary_segment_seeds_take_finite_steps(t):
+    # on x = 0 the t-gradient vanishes inside [-1, 1] and is the clamp
+    # penalty's outside; the uncapped t-step must stay finite either way
+    model = clark_model(n=2)
+    seeds = np.zeros((len(t), 3))
+    seeds[:, 0] = t
+    for row in gradient_flow_solve_batch(model, seeds, SolveConfig()):
+        assert row.converged
+        assert np.all(np.isfinite(row.coords)) and np.isfinite(row.flow_time)
+        assert np.array_equal(row.coords[1:], np.zeros(2))
+        assert abs(row.coords[0]) <= 1.0 + 1e-8
 
 
 def test_energy_trace_is_strictly_monotone():
@@ -178,12 +321,15 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
     assert values == sorted(values)
 
 
-def test_scan_is_deterministic_for_a_fixed_seed():
+@settings(max_examples=10, deadline=None)
+@given(seed=rng_seeds)
+def test_scan_is_deterministic_for_a_fixed_seed(seed):
     model = clark_model(n=2)
     z = np.zeros((11, 3))
     z[:, 0] = np.linspace(-1.0, 1.0, 11)
-    a = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=9))
-    b = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=9))
+    a = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
+    b = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
+    assert a.n_converged == b.n_converged
     assert len(a.entries) == len(b.entries)
     for ea, eb in zip(a.entries, b.entries):
         assert np.array_equal(ea.coords, eb.coords)

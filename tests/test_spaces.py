@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from clarklab.errors import DimensionError, InvalidPoint
 from clarklab.spaces import H01Grid, L2Truncation, Point, check_coords
@@ -58,6 +59,21 @@ def test_h01_riesz_representative_reproduces_load_pairing():
     for _ in range(5):
         w = rng.normal(size=60)
         assert g.inner(v, w) == pytest.approx(g.trapezoid(f * w), abs=1e-12)
+
+
+def test_h01_batched_riesz_equals_row_by_row_solves():
+    # one multi-column banded solve must give each row exactly what a
+    # solve of that row alone gives
+    g = H01Grid(30)
+    rng = np.random.default_rng(6)
+    f = rng.normal(size=(4, 7, 30))
+    batched = g.riesz_of_load(f)
+    assert batched.shape == f.shape
+    for i in range(4):
+        for j in range(7):
+            alone = cho_solve_banded((g._chol, False), g.mesh_width * f[i, j])
+            assert np.array_equal(batched[i, j], alone)
+    assert g.riesz_of_load(np.zeros((0, 30))).shape == (0, 30)
 
 
 def test_h01_inner_is_the_stiffness_bilinear_form():
