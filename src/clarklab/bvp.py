@@ -80,6 +80,11 @@ class Trajectory:
         return 0.5 * v * v + np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
 
 
+def _rhs(t, y, p):
+    u, v = y
+    return [v, -np.sign(u) * np.abs(u) ** p]
+
+
 def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
     """Integrate from u(0)=0, u'(0)=slope with dense output and
     zero-crossing detection up to t_max."""
@@ -89,16 +94,13 @@ def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
     if t_max <= 0.0:
         raise InvalidParams("t_max must be positive")
 
-    def rhs(t, y):
-        u, v = y
-        return [v, -np.sign(u) * np.abs(u) ** p]
-
-    def crossing(t, y):
+    def crossing(t, y, p):  # solve_ivp hands `args` to the events as well
         return y[0]
     crossing.terminal = False
 
-    sol = solve_ivp(rhs, (0.0, t_max), [0.0, float(slope)], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True, events=crossing)
+    sol = solve_ivp(_rhs, (0.0, t_max), [0.0, float(slope)], method="RK45",
+                    rtol=1e-12, atol=1e-14, dense_output=True, events=crossing,
+                    args=(p,))
     times = sol.t_events[0]
     times = times[times > 1e-12]  # the launch point itself is a zero
     if times.size == 0:
@@ -194,11 +196,6 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     )
 
 
-def base_solution(p: float, grid: H01Grid | None = None) -> NodalSolution:
-    grid = grid or H01Grid(2000)
-    return _assemble(p, 1, base_profile(p), grid)
-
-
 def nodal_solution(p: float, k: int, grid: H01Grid | None = None,
                    prof: BaseProfile | None = None) -> NodalSolution:
     """k-nodal-domain solution by exact compression of the base arch."""
@@ -227,11 +224,6 @@ def reshoot_values(p: float, k: int, grid: H01Grid | None = None,
     prof = prof or base_profile(p)
     slope_1 = prof.alpha * prof.t1     # u_1'(0)
     slope_k = float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1
-
-    def rhs(t, y):
-        u, v = y
-        return [v, -np.sign(u) * np.abs(u) ** p]
-
-    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, slope_k], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
+    sol = solve_ivp(_rhs, (0.0, 1.0), [0.0, slope_k], method="RK45",
+                    rtol=1e-12, atol=1e-14, dense_output=True, args=(p,))
     return np.asarray(sol.sol(grid.grid))[0]

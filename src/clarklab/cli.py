@@ -78,6 +78,11 @@ SCHEMAS = {
 }
 
 
+# every integer schema key is a count that must be at least 1, or at least
+# the value given here
+_INT_MIN = {"z_samples": 2}
+
+
 # options every experiment takes; like the schema keys they can come from a
 # config file, and they are not part of the experiment's results params
 COMMON = {
@@ -387,8 +392,11 @@ def main(argv=None) -> int:
     for key, (_typ, default, _help) in options.items():
         if getattr(ns, key) is None:
             setattr(ns, key, file_values.get(key, default))
-    if ns.experiment == "scan" and ns.seeds < 1:
-        parser.error("seeds must be positive")
+    for key, (typ, _default, _help) in schema.items():
+        low = _INT_MIN.get(key, 1)
+        if typ is int and getattr(ns, key) < low:
+            parser.error(f"{key} must be positive" if low == 1
+                         else f"{key} must be at least {low}")
 
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)

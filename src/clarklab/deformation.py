@@ -288,10 +288,14 @@ def _rk4_step(setup, u, h):
 
 
 def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float,
-               err_tol: float = 1e-11):
-    """Integrate all rows to t_final with step-doubling control on a
-    shared step (max row error governs).  Returns the terminal rows plus
-    the worst energy uptick and speed ratio seen across the whole batch."""
+               err_tol: float = 1e-11, trace=None):
+    """Integrate all rows to t_final with RK4 step-doubling control on a
+    shared step: a step is accepted when the largest entry of full - half
+    is within err_tol, and the integration fails only when a step at
+    h <= 1e-12 still misses it.  Returns the terminal rows plus the worst
+    energy uptick and speed ratio seen across the whole batch.  A list
+    passed as ``trace`` receives (time, rows, energies) at the start and
+    after every accepted step."""
     if t_final < 0:
         raise InvalidParams("flow time must be nonnegative")
     u = np.array(seeds, dtype=float)
@@ -301,27 +305,31 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float,
     h = h_max
     t = 0.0
     energy = np.atleast_1d(setup.f.value_of(u))
+    if trace is not None:
+        trace.append((t, u, energy))
     max_uptick = 0.0
     max_speed = 0.0
     while t < t_final - 1e-15:
         h = min(h, t_final - t)
         full = _rk4_step(setup, u, h)
         half = _rk4_step(setup, _rk4_step(setup, u, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.linalg.norm(full - half, axis=1))) if len(u) else 0.0
-        if err > err_tol and h > 1e-12:
+        err = float(np.max(np.abs(full - half)))
+        if err > err_tol:
+            if h <= 1e-12:
+                raise IntegrationError(f"step size collapsed at t = {t:.6f}")
             h *= 0.5
             continue
         step_len = np.linalg.norm(half - u, axis=1)
-        max_speed = max(max_speed, float(np.max(step_len)) / h if len(u) else 0.0)
+        max_speed = max(max_speed, float(np.max(step_len)) / h)
         u = half
         t += h
         e_new = np.atleast_1d(setup.f.value_of(u))
         max_uptick = max(max_uptick, float(np.max(e_new - energy)))
         energy = e_new
+        if trace is not None:
+            trace.append((t, u, energy))
         if err < 0.1 * err_tol:
             h = min(h * 1.5, h_max)
-        if h <= 1e-12:
-            raise IntegrationError(f"step size collapsed at t = {t:.6f}")
     return u, max_uptick, max_speed
 
 
@@ -331,36 +339,11 @@ def flow(setup: DeformationSetup, u: Point, t_final: float,
     setup.f._check(u)
     if float(setup.f.value_of(u.coords)) >= 0.0:
         raise InvalidParams("flow starts in the negative-energy region")
-    if t_final < 0:
-        raise InvalidParams("flow time must be nonnegative")
-    y = u.coords[None, :].copy()
-    h_max = 0.01 * setup.r
-    h = h_max
-    t = 0.0
-    times = [0.0]
-    points = [y[0].copy()]
-    energies = [float(setup.f.value_of(y[0]))]
-    while t < t_final - 1e-15:
-        h = min(h, t_final - t)
-        full = _rk4_step(setup, y, h)
-        half = _rk4_step(setup, _rk4_step(setup, y, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.abs(full - half)))
-        if err > err_tol:
-            if h <= 1e-12:
-                raise IntegrationError(
-                    f"step size collapsed at t = {t:.6f}",
-                )
-            h *= 0.5
-            continue
-        y = half
-        t += h
-        times.append(t)
-        points.append(y[0].copy())
-        energies.append(float(setup.f.value_of(y[0])))
-        if err < 0.1 * err_tol:
-            h = min(h * 1.5, h_max)
-    return FlowTrace(times=np.array(times), points=np.array(points),
-                     energies=np.array(energies))
+    trace = []
+    flow_batch(setup, u.coords[None, :], t_final, err_tol, trace)
+    return FlowTrace(times=np.array([t for t, _, _ in trace]),
+                     points=np.array([rows[0] for _, rows, _ in trace]),
+                     energies=np.array([float(e[0]) for _, _, e in trace]))
 
 
 def _meets_contract(setup, coords, slack=1e-9):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInput, InvalidPoint
 from .spaces import Point, SpaceTag, check_coords
+from .topology import Cloud, components
 
 C1 = "C1"
 C1_NOT_C2 = "C1_not_C2"
@@ -144,9 +145,11 @@ def ps_diagnostic(functional: Functional, sequence, level: float, tol: float = 1
     """Tail behaviour of values and residuals of a sequence of Points.
 
     The tail is the last quarter of the sequence (at least one element).
-    Cluster points are found by union-find on the tail with pairwise
-    distance threshold tol; a cluster counts as convergent when its
-    diameter is below tol.
+    Cluster points are the single-linkage components of the tail at
+    scale tol/2 (``topology.components``), so two tail points chain when
+    their distance is strictly below tol; a pair at distance exactly tol
+    does not.  A cluster counts as convergent when its diameter is at
+    most tol.
     """
     if len(sequence) == 0:
         raise EmptyInput("ps_diagnostic needs a non-empty sequence")
@@ -165,32 +168,13 @@ def ps_diagnostic(functional: Functional, sequence, level: float, tol: float = 1
     values_converge = bool(np.max(np.abs(tail_vals - level)) <= tol)
     residuals_vanish = bool(np.max(tail_res) <= tol)
 
-    # single-linkage clusters on the tail
-    k = len(tail)
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     dists = np.linalg.norm(tail[:, None, :] - tail[None, :, :], axis=-1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if dists[i, j] <= tol:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-
-    clusters = {}
-    for i in range(k):
-        clusters.setdefault(find(i), []).append(i)
+    clusters = components(Cloud(tail), 0.5 * tol)
 
     space = functional.space
     cluster_points = []
     convergent = False
-    for members in clusters.values():
+    for members in clusters:
         diam = float(np.max(dists[np.ix_(members, members)]))
         rep = Point(tail[members].mean(axis=0), space)
         cluster_points.append(rep)

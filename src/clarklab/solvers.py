@@ -228,32 +228,6 @@ def gradient_flow_solve(f: Functional, seed: Point, cfg: SolveConfig | None = No
                          label=label, sign_pattern=pattern)
 
 
-def flow_energy_trace(f: Functional, seed: Point, cfg: SolveConfig | None = None,
-                      max_steps: int = 20000):
-    """Single-seed flow that records the accepted-step energy history."""
-    cfg = cfg or SolveConfig()
-    u = seed.coords.copy()
-    h = cfg.initial_step
-    tau = 0.0
-    energies = [float(f.value_of(u))]
-    g = f.grad_of(u)
-    r = float(f.space.norm(g))
-    for _ in range(max_steps):
-        if r <= cfg.residual_tol or tau >= cfg.max_flow_time or h < cfg.min_step:
-            break
-        prop = u - h * g
-        e_prop = float(f.value_of(prop))
-        if e_prop <= energies[-1] - cfg.armijo * h * r * r:
-            u, tau = prop, tau + h
-            energies.append(e_prop)
-            h = min(h * cfg.grow, cfg.step_cap)
-            g = f.grad_of(u)
-            r = float(f.space.norm(g))
-        else:
-            h *= cfg.shrink
-    return Point(u, f.space), np.array(energies), r
-
-
 # ---------------------------------------------------------------------------
 # structured solve on the coordinate model
 

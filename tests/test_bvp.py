@@ -5,7 +5,6 @@ from scipy.special import beta as beta_fn
 from clarklab.bvp import (
     amplitude_scaling_exponent,
     base_profile,
-    base_solution,
     energy_scaling_exponent,
     nodal_family,
     nodal_solution,
@@ -89,7 +88,7 @@ def test_exponents_reject_bad_p():
 def test_base_solution_matches_all_closed_forms():
     p = 0.5
     grid = H01Grid(2000)
-    sol = base_solution(p, grid)
+    sol = nodal_solution(p, 1, grid)
     t1 = exact_first_crossing(p)
     scale = 1.0 / t1  # compress one arc onto [0, 1]
 

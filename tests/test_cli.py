@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "clarklab", *args],
@@ -88,10 +90,22 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_scan_with_no_seeds_is_a_usage_error(tmp_path):
-    proc = run_cli("scan", "--seeds", "0", "--out", str(tmp_path))
+@pytest.mark.parametrize("args, message", [
+    (("scan", "--seeds", "0"), "seeds must be positive"),
+    (("scan", "--n", "0"), "n must be positive"),
+    (("minimax", "--n", "0"), "n must be positive"),
+    (("psdiag", "--n", "0"), "n must be positive"),
+    (("bvp", "--kmax", "0"), "kmax must be positive"),
+    (("bvp", "--nodes", "0"), "nodes must be positive"),
+    (("stabilize", "--clouds", "-1"), "clouds must be positive"),
+    (("enumerate", "--z-samples", "1"), "z_samples must be at least 2"),
+], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-nodes",
+        "stabilize-clouds", "enumerate-z_samples"])
+def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
+    proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
-    assert "seeds must be positive" in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +225,17 @@ def test_domain_errors_exit_two_with_a_note(tmp_path):
     assert not (out / "results.json").exists()
 
 
-def test_same_seed_runs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("args, data_file", [
+    (("scan", "--n", "2", "--seeds", "30"), "scan.csv"),
+    (("deform", "--samples", "40", "--circle-samples", "32", "--odd-pairs", "5",
+      "--budget", "4000"), "deformed.csv"),
+    (("psdiag", "--n", "6"), None),
+], ids=["scan", "deform", "psdiag"])
+def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        proc = run_cli("scan", "--n", "2", "--seeds", "30", "--out", str(out))
+        proc = run_cli(*args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
-    assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+    if data_file is not None:
+        assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes()

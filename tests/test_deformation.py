@@ -160,6 +160,23 @@ def test_flow_batch_matches_single_flow_endpoints():
     for seed, end in zip(seeds, out):
         tr = flow(setup, Point(seed, f.space), setup.t_eps)
         assert np.linalg.norm(tr.points[-1] - end) < 1e-9
+        # a one-row batch takes the single flow's steps exactly
+        alone, _, _ = flow_batch(setup, seed[None, :], setup.t_eps)
+        assert np.array_equal(alone[0], tr.points[-1])
+
+
+def test_a_flow_shorter_than_the_step_floor_completes():
+    # one accepted step of length 5e-13 <= 1e-12 is not a collapse
+    f, k0i, k0e, delta0, setup = build_setup()
+    seeds = in_band_seeds(f, setup.eps, 3, np.random.default_rng(5))
+    out, _, speed = flow_batch(setup, seeds, 5e-13)
+    assert np.max(np.abs(out - seeds)) <= 1e-12
+    assert speed <= 1.0 + 1e-8
+    for seed, end in zip(seeds, out):
+        tr = flow(setup, Point(seed, f.space), 5e-13)
+        assert tr.times[-1] == 5e-13
+        assert np.array_equal(tr.points[0], seed)
+        assert np.max(np.abs(tr.points[-1] - seed)) <= 1e-12
 
 
 def test_deformation_lands_in_the_target_or_near_the_exterior_cluster():

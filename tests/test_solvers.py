@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from clarklab.solvers import (
     SolveConfig,
     accumulation_scan,
     ball_seed_sampler,
-    flow_energy_trace,
     gradient_flow_solve,
     gradient_flow_solve_batch,
     model_seed_sampler,
@@ -207,17 +208,20 @@ def test_stationary_segment_seeds_take_finite_steps(t):
         assert abs(row.coords[0]) <= 1.0 + 1e-8
 
 
-def test_energy_trace_is_strictly_monotone():
-    # the trace helper uses strict sufficient decrease (no noise band), so
-    # it cannot polish below the rounding floor of the energy; ask for a
-    # tolerance it can actually certify and check monotonicity exactly
-    model = clark_model(n=3)
-    cfg = SolveConfig(residual_tol=1e-6)
-    _, energies, r = flow_energy_trace(
-        model, Point(np.array([0.2, 1.1, -0.05, 0.001]), model.space), cfg)
-    assert r <= 1e-6
-    assert np.max(np.diff(energies)) < 0.0
-    assert energies[-1] < energies[0]
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_longer_budgets_extend_the_same_monotone_flow(name):
+    # the flow never looks at its budget before stopping, so the run under
+    # each budget of an increasing ladder is a prefix of the next run
+    f, cfg, sampler = SOLVE_CASES[name]
+    seed = sampler(f, np.random.default_rng(7), 1)
+    budgets = np.geomspace(1e-2, 2.0 * cfg.max_flow_time, 12)
+    rows = [gradient_flow_solve_batch(f, seed, replace(cfg, max_flow_time=b))[0]
+            for b in budgets]
+    for prev, row in zip(rows, rows[1:]):
+        assert row.steps >= prev.steps
+        assert row.value <= prev.value + _ENERGY_NOISE * max(1.0, abs(prev.value))
+    assert rows[0].stop == "budget"
+    assert rows[-1].steps > rows[0].steps and rows[-1].value < rows[0].value
 
 
 def test_invalid_config_rejected():
