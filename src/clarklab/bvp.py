@@ -74,11 +74,6 @@ class Trajectory:
     def deriv(self, t):
         return np.asarray(self.sol(np.asarray(t, dtype=float)))[1]
 
-    def conserved_energy(self, t):
-        u = self.value(t)
-        v = self.deriv(t)
-        return 0.5 * v * v + np.abs(u) ** (self.p + 1.0) / (self.p + 1.0)
-
 
 def _rhs(t, y, p):
     u, v = y
@@ -125,8 +120,15 @@ class BaseProfile:
         return self.alpha * self.t1 * self.traj.deriv(self.t1 * np.asarray(x, dtype=float))
 
 
-def base_profile(p: float, t_max: float = 4.0, max_enlarge: int = 6) -> BaseProfile:
-    for _ in range(max_enlarge):
+# base_profile shoots with horizon _SHOOT_T_MAX and doubles it after each
+# shot that finds no zero, for at most _MAX_ENLARGE shots
+_SHOOT_T_MAX = 4.0
+_MAX_ENLARGE = 6
+
+
+def base_profile(p: float) -> BaseProfile:
+    t_max = _SHOOT_T_MAX
+    for _ in range(_MAX_ENLARGE):
         try:
             traj = shoot(p, 1.0, t_max)
             break
@@ -196,15 +198,12 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     )
 
 
-def nodal_solution(p: float, k: int, grid: H01Grid | None = None,
-                   prof: BaseProfile | None = None) -> NodalSolution:
+def nodal_solution(p: float, k: int, grid: H01Grid | None = None) -> NodalSolution:
     """k-nodal-domain solution by exact compression of the base arch."""
     _check_p(p)
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    grid = grid or H01Grid(2000)
-    prof = prof or base_profile(p)
-    return _assemble(p, k, prof, grid)
+    return _assemble(p, k, base_profile(p), grid or H01Grid(2000))
 
 
 def nodal_family(p: float, kmax: int, grid: H01Grid | None = None) -> list:
@@ -213,15 +212,14 @@ def nodal_family(p: float, kmax: int, grid: H01Grid | None = None) -> list:
     return [_assemble(p, k, prof, grid) for k in range(1, kmax + 1)]
 
 
-def reshoot_values(p: float, k: int, grid: H01Grid | None = None,
-                   prof: BaseProfile | None = None) -> np.ndarray:
+def reshoot_values(p: float, k: int, grid: H01Grid | None = None) -> np.ndarray:
     """Cross-check: integrate the ODE directly with the k-solution's
     initial slope over all of [0,1] (no rescaling afterwards) and sample
     the grid abscissae.  Scaling exactness means this should match the
     compressed construction to integrator accuracy."""
     _check_p(p)
     grid = grid or H01Grid(2000)
-    prof = prof or base_profile(p)
+    prof = base_profile(p)
     slope_1 = prof.alpha * prof.t1     # u_1'(0)
     slope_k = float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1
     sol = solve_ivp(_rhs, (0.0, 1.0), [0.0, slope_k], method="RK45",

@@ -79,8 +79,8 @@ SCHEMAS = {
 
 
 # every integer schema key is a count that must be at least 1, or at least
-# the value given here
-_INT_MIN = {"z_samples": 2}
+# the value given here (the bvp slope fit needs two points)
+_INT_MIN = {"z_samples": 2, "kmax": 2}
 
 
 # options every experiment takes; like the schema keys they can come from a
@@ -319,8 +319,7 @@ def _run_bvp(ns, out: Path):
     expected = energy_scaling_exponent(ns.p)
 
     re2 = reshoot_values(ns.p, 2, grid)
-    reshoot_dev = float(np.max(np.abs(re2 - family[1].grid_values.coords))) \
-        if ns.kmax >= 2 else 0.0
+    reshoot_dev = float(np.max(np.abs(re2 - family[1].grid_values.coords)))
 
     ratio = (1.0 - ns.p) / (2.0 * (ns.p + 1.0))
     j_dev = max(abs(s.j_value + ratio * s.energy_norm_sq) / abs(s.j_value)

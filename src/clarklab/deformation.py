@@ -90,10 +90,15 @@ def two_cluster_setup_clouds(circle_samples: int = 64):
 @dataclass(frozen=True)
 class SampleSpec:
     budget: int = 20000
-    box_halfwidth: float = 1.6
     rng_seed: int = 0
-    rho_ladder: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    nu_floor: float = 1e-3
+
+
+# samples are uniform in the box [-_BOX_HALFWIDTH, _BOX_HALFWIDTH]^dim; rho
+# is the first rung of _RHO_LADDER whose band keeps the sampled gradient
+# infimum above _NU_FLOOR
+_BOX_HALFWIDTH = 1.6
+_RHO_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
+_NU_FLOOR = 1e-3
 
 
 @dataclass
@@ -107,7 +112,6 @@ class BoundsEstimate:
     rho: float
     nu: float
     r: float
-    nu_floor: float
     sample_values: np.ndarray = field(repr=False)
     sample_residuals: np.ndarray = field(repr=False)
     sample_dist_k0e: np.ndarray = field(repr=False)
@@ -121,10 +125,10 @@ class BoundsEstimate:
         if not np.any(keep):
             return self.nu
         inf = float(np.min(self.sample_residuals[keep]))
-        if inf <= self.nu_floor:
+        if inf <= _NU_FLOOR:
             raise SetupInconsistent(
                 f"sampled gradient infimum {inf:.3e} on the eps-band is not "
-                f"bounded away from zero (floor {self.nu_floor:.1e})")
+                f"bounded away from zero (floor {_NU_FLOOR:.1e})")
         return min(0.9 * inf, self.nu)
 
 
@@ -140,7 +144,7 @@ def estimate_bounds(f: Functional, k0_cloud: Cloud, k0e_cloud: Cloud, r: float,
     spec = spec or SampleSpec()
     rng = np.random.default_rng(spec.rng_seed)
     dim = f.space.dim
-    u = rng.uniform(-spec.box_halfwidth, spec.box_halfwidth, size=(spec.budget, dim))
+    u = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(spec.budget, dim))
     values = np.asarray(f.value_of(u))
     grads = f.grad_of(u)
     residuals = np.asarray(f.space.norm(grads))
@@ -148,14 +152,13 @@ def estimate_bounds(f: Functional, k0_cloud: Cloud, k0e_cloud: Cloud, r: float,
                          cdist(u, k0e_cloud.coords).min(axis=1))
     dist_k0e = cdist(u, k0e_cloud.coords).min(axis=1)
 
-    for rho in spec.rho_ladder:
+    for rho in _RHO_LADDER:
         band = (values >= -rho) & (values <= 0.0) & (dist_k0 > r)
         if not np.any(band):
             continue
         inf = float(np.min(residuals[band]))
-        if inf > spec.nu_floor:
+        if inf > _NU_FLOOR:
             return BoundsEstimate(rho=float(rho), nu=0.9 * inf, r=float(r),
-                                  nu_floor=spec.nu_floor,
                                   sample_values=values,
                                   sample_residuals=residuals,
                                   sample_dist_k0e=dist_k0e)
@@ -210,10 +213,10 @@ class DeformationSetup:
 
 
 def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float, r: float,
-               bounds: BoundsEstimate, eps: float | None = None) -> DeformationSetup:
+               bounds: BoundsEstimate) -> DeformationSetup:
+    """The deformation setup at d = min(rho, nu*r)/3 and eps = d/2."""
     d = min(bounds.rho, bounds.nu * r) / 3.0
-    if eps is None:
-        eps = d / 2.0
+    eps = d / 2.0
     return DeformationSetup(f=f, k0i=k0i, k0e=k0e, delta0=delta0, r=r,
                             rho=bounds.rho, nu=bounds.nu,
                             nu_eps=bounds.nu_eps(eps), d=d, eps=eps)
@@ -257,15 +260,6 @@ class FlowTrace:
     points: np.ndarray      # (len(times), dim)
     energies: np.ndarray
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            dim = self.points.shape[1]
-            w.writerow(["time", "energy"] + [f"x{i + 1}" for i in range(dim)])
-            for t, e, p in zip(self.times, self.energies, self.points):
-                w.writerow([repr(float(t)), repr(float(e))] + [repr(float(c)) for c in p])
-
     def max_energy_uptick(self) -> float:
         if len(self.energies) < 2:
             return 0.0
@@ -287,11 +281,14 @@ def _rk4_step(setup, u, h):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float,
-               err_tol: float = 1e-11, trace=None):
+# largest entry of full - half that an RK4 step-doubling step may leave
+_ERR_TOL = 1e-11
+
+
+def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace=None):
     """Integrate all rows to t_final with RK4 step-doubling control on a
     shared step: a step is accepted when the largest entry of full - half
-    is within err_tol, and the integration fails only when a step at
+    is within _ERR_TOL, and the integration fails only when a step at
     h <= 1e-12 still misses it.  Returns the terminal rows plus the worst
     energy uptick and speed ratio seen across the whole batch.  A list
     passed as ``trace`` receives (time, rows, energies) at the start and
@@ -314,7 +311,7 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float,
         full = _rk4_step(setup, u, h)
         half = _rk4_step(setup, _rk4_step(setup, u, 0.5 * h), 0.5 * h)
         err = float(np.max(np.abs(full - half)))
-        if err > err_tol:
+        if err > _ERR_TOL:
             if h <= 1e-12:
                 raise IntegrationError(f"step size collapsed at t = {t:.6f}")
             h *= 0.5
@@ -328,19 +325,18 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float,
         energy = e_new
         if trace is not None:
             trace.append((t, u, energy))
-        if err < 0.1 * err_tol:
+        if err < 0.1 * _ERR_TOL:
             h = min(h * 1.5, h_max)
     return u, max_uptick, max_speed
 
 
-def flow(setup: DeformationSetup, u: Point, t_final: float,
-         err_tol: float = 1e-11) -> FlowTrace:
+def flow(setup: DeformationSetup, u: Point, t_final: float) -> FlowTrace:
     """Single-seed flow with the full trace recorded at accepted steps."""
     setup.f._check(u)
     if float(setup.f.value_of(u.coords)) >= 0.0:
         raise InvalidParams("flow starts in the negative-energy region")
     trace = []
-    flow_batch(setup, u.coords[None, :], t_final, err_tol, trace)
+    flow_batch(setup, u.coords[None, :], t_final, trace)
     return FlowTrace(times=np.array([t for t, _, _ in trace]),
                      points=np.array([rows[0] for _, rows, _ in trace]),
                      energies=np.array([float(e[0]) for _, _, e in trace]))

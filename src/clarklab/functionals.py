@@ -48,7 +48,7 @@ class Functional:
     def step_blocks(self):
         """Coordinate blocks that the descent solver steps separately, as
         (slice, capped) pairs; a capped block's step never exceeds the
-        solver's step_cap.  The default is one capped block covering every
+        solver's _STEP_CAP.  The default is one capped block covering every
         coordinate."""
         return ((slice(None), True),)
 
@@ -79,7 +79,6 @@ class RelErrorReport:
     max_rel_error: float
     per_coordinate: np.ndarray
     skipped: list = field(default_factory=list)  # (index, reason) pairs
-    step: float = 0.0
 
     @property
     def checked_fraction(self):
@@ -87,10 +86,13 @@ class RelErrorReport:
         return (n - len(self.skipped)) / n if n else 0.0
 
 
-def fd_gradient_check(functional: Functional, point: Point, step: float = 1e-6) -> RelErrorReport:
+_FD_STEP = 1e-6
+
+
+def fd_gradient_check(functional: Functional, point: Point) -> RelErrorReport:
     """Central differences against space.to_dual(gradient).
 
-    Coordinates within 10*step of a kink locus of the functional are
+    Coordinates within 10*_FD_STEP of a kink locus of the functional are
     reported in ``skipped`` rather than checked; the error would reflect
     the missing second derivative, not a wrong gradient.
     """
@@ -103,12 +105,12 @@ def fd_gradient_check(functional: Functional, point: Point, step: float = 1e-6) 
     fd = np.zeros(dim)
     skipped = []
     for i in range(dim):
-        if gaps is not None and gaps[i] < 10.0 * step:
+        if gaps is not None and gaps[i] < 10.0 * _FD_STEP:
             skipped.append((i, "kink-proximity"))
             continue
         e = np.zeros(dim)
-        e[i] = step
-        fd[i] = (functional.value_of(u + e) - functional.value_of(u - e)) / (2.0 * step)
+        e[i] = _FD_STEP
+        fd[i] = (functional.value_of(u + e) - functional.value_of(u - e)) / (2.0 * _FD_STEP)
 
     scale = max(float(np.max(np.abs(dual))), 1e-12)
     per = np.abs(fd - dual) / scale
@@ -118,7 +120,6 @@ def fd_gradient_check(functional: Functional, point: Point, step: float = 1e-6) 
         max_rel_error=float(np.max(per)) if dim else 0.0,
         per_coordinate=per,
         skipped=skipped,
-        step=step,
     )
 
 

@@ -14,7 +14,7 @@ the true sup.  The report carries the budget for that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -26,19 +26,22 @@ from .spaces import Point
 
 # optimal radius for the coordinate model scales like 3^(-2j); the grid
 # floor must sit below it for every j the acceptance range uses
-DEFAULT_RHO_GRID = tuple(np.geomspace(1e-6, 1.0, 24))
+_RHO_GRID = np.geomspace(1e-6, 1.0, 24)
+
+# sphere-sup effort: projected-ascent starts, quasi-random sphere samples
+# and ascent steps per start
+_N_STARTS = 6
+_N_SAMPLES = 64
+_ASCENT_STEPS = 80
 
 
 @dataclass(frozen=True)
 class Budget:
-    n_starts: int = 6
-    n_samples: int = 64
-    ascent_steps: int = 80
     rng_seed: int = 0
 
     def describe(self) -> str:
-        return (f"starts={self.n_starts};samples={self.n_samples};"
-                f"ascent={self.ascent_steps};seed={self.rng_seed}")
+        return (f"starts={_N_STARTS};samples={_N_SAMPLES};"
+                f"ascent={_ASCENT_STEPS};seed={self.rng_seed}")
 
 
 def _block_indices(f: Functional, k: int) -> np.ndarray:
@@ -77,8 +80,8 @@ def sphere_sup_witness(f: Functional, k: int, rho: float,
 
     # axis stencil +- rho e_i, quasi-random sphere samples, ascent starts
     stencil = np.concatenate([np.eye(k), -np.eye(k)], axis=0)
-    samples = rng.standard_normal((budget.n_samples, k))
-    starts = rng.standard_normal((budget.n_starts, k))
+    samples = rng.standard_normal((_N_SAMPLES, k))
+    starts = rng.standard_normal((_N_STARTS, k))
     y0 = _renorm(f, block, np.concatenate([stencil, samples, starts], axis=0), rho)
 
     vals = np.atleast_1d(f.value_of(_embed(dim, block, y0)))
@@ -90,7 +93,7 @@ def sphere_sup_witness(f: Functional, k: int, rho: float,
     if len(y):
         cur = np.atleast_1d(f.value_of(_embed(dim, block, y)))
         alpha = np.full(len(y), 0.1 * rho)
-        for _ in range(budget.ascent_steps):
+        for _ in range(_ASCENT_STEPS):
             coords = _embed(dim, block, y)
             partial = f.space.to_dual(f.grad_of(coords))[:, block]
             q = f.space.to_dual(coords)[:, block]
@@ -136,28 +139,23 @@ class MinimaxEstimate:
         }
 
 
-def cj_upper_bound(f: Functional, j: int, rho_grid=None,
-                   budget: Budget | None = None) -> MinimaxEstimate:
+def cj_upper_bound(f: Functional, j: int, budget: Budget | None = None) -> MinimaxEstimate:
     """Upper bound for the j-th minimax value: min over the radius grid
     of the block-sphere sup, sharpened by a bounded 1-d minimization
     around the best grid radius."""
     budget = budget or Budget()
-    grid = np.asarray(rho_grid if rho_grid is not None else DEFAULT_RHO_GRID, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise InvalidParams("rho_grid must be nonempty and positive")
-    grid = np.sort(grid)
 
     trace = []
     witnesses = []
-    for rho in grid:
+    for rho in _RHO_GRID:
         val, w = sphere_sup_witness(f, j, float(rho), budget)
         trace.append((float(rho), val))
         witnesses.append(w)
 
     sups = np.array([s for _, s in trace])
     i = int(np.argmin(sups))
-    lo = grid[i - 1] if i > 0 else grid[i] / 100.0
-    hi = grid[i + 1] if i + 1 < len(grid) else grid[i] * 100.0
+    lo = _RHO_GRID[i - 1] if i > 0 else _RHO_GRID[i] / 100.0
+    hi = _RHO_GRID[i + 1] if i + 1 < len(_RHO_GRID) else _RHO_GRID[i] * 100.0
     res = minimize_scalar(lambda r: sphere_sup(f, j, float(r), budget),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})

@@ -95,6 +95,15 @@ class ModelParams:
         w2 = self.weights ** 2
         return (2.0 + mu) ** 2 * w2, (2.0 - mu) ** 2 * w2
 
+    def branch_coords(self, t, signs):
+        """Branch points (t, x) for a (k, n) array of signs in {-1, 0, 1}:
+        x_j is the positive-branch magnitude, 0 or minus the negative-branch
+        magnitude.  Returns (k, n+1) rows."""
+        signs = np.asarray(signs)
+        pos, neg = self.branch_magnitudes(t)
+        x = np.where(signs > 0, pos, 0.0) - np.where(signs < 0, neg, 0.0)
+        return np.concatenate([np.full((len(signs), 1), float(t)), x], axis=1)
+
 
 class ClarkModel(Functional):
     smoothness = C1_NOT_C2
@@ -145,12 +154,8 @@ class ClarkModel(Functional):
         return gaps
 
 
-def clark_model(params: ModelParams | None = None, n: int | None = None) -> ClarkModel:
-    if params is None:
-        params = ModelParams(n=n if n is not None else 4)
-    elif n is not None and n != params.n:
-        raise InvalidParams("pass either params or n, not conflicting values")
-    return ClarkModel(params)
+def clark_model(n: int = 4) -> ClarkModel:
+    return ClarkModel(ModelParams(n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +185,12 @@ def _pattern_string(signs):
     return "".join({1: "+", 0: "0", -1: "-"}[s] for s in signs)
 
 
-def _branch_point(model: ClarkModel, t: float, signs) -> CriticalPoint:
-    pos, neg = model.params.branch_magnitudes(t)
-    x = np.where(np.array(signs) > 0, pos, 0.0) - np.where(np.array(signs) < 0, neg, 0.0)
-    coords = np.concatenate([[t], x])
-    value = float(model.value_of(coords))
-    residual = model.residual(coords)
-    label = LABEL_N if t > 0 else LABEL_NEG_N
+def _branch_point(model: ClarkModel, coords, signs) -> CriticalPoint:
     return CriticalPoint(
         point=Point(coords, model.space),
-        value=value,
-        residual=residual,
-        label=label,
+        value=float(model.value_of(coords)),
+        residual=model.residual(coords),
+        label=LABEL_N if coords[0] > 0 else LABEL_NEG_N,
         sign_pattern=_pattern_string(signs),
     )
 
@@ -207,9 +206,6 @@ class EnumeratedCriticalSet:
 
     n: int
     points: list
-
-    def with_label(self, label):
-        return [p for p in self.points if p.label == label]
 
     def coords_array(self, labels=None):
         pts = self.points if labels is None else [p for p in self.points if p.label in labels]
@@ -229,10 +225,10 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     if z_samples < 2:
         raise InvalidParams("z_samples must be at least 2")
     params = model.params
-    pts = []
-    for signs in itertools.product((1, 0, -1), repeat=params.n):
-        pts.append(_branch_point(model, 1.0, signs))
-        pts.append(_branch_point(model, -1.0, tuple(-s for s in signs)))
+    signs = np.array(list(itertools.product((1, 0, -1), repeat=params.n)))
+    pts = [_branch_point(model, coords, s)
+           for t, sgn in ((1.0, signs), (-1.0, -signs))
+           for coords, s in zip(params.branch_coords(t, sgn), sgn)]
     for t in np.linspace(-1.0, 1.0, z_samples):
         coords = np.concatenate([[t], np.zeros(params.n)])
         pts.append(
@@ -253,12 +249,8 @@ class CriticalSetOracle:
 
     def __init__(self, model: ClarkModel):
         self.model = model
-        signs = list(itertools.product((1, 0, -1), repeat=model.params.n))
-        pos, neg = model.params.branch_magnitudes(1.0)
-        branch_plus = np.stack(
-            [np.where(np.array(s) > 0, pos, 0.0) - np.where(np.array(s) < 0, neg, 0.0) for s in signs]
-        )
-        plus = np.concatenate([np.ones((len(signs), 1)), branch_plus], axis=1)
+        signs = np.array(list(itertools.product((1, 0, -1), repeat=model.params.n)))
+        plus = model.params.branch_coords(1.0, signs)
         self._branches = np.concatenate([plus, -plus], axis=0)
 
     def distance(self, coords):
@@ -273,23 +265,26 @@ class CriticalSetOracle:
         return out if out.shape[0] > 1 else float(out[0])
 
 
-def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8,
-                         t_tol: float = 1e-3):
+# how far from t = +-1 a terminal may sit and still be labelled N or -N
+_FACE_T_TOL = 1e-3
+
+
+def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
     """Label a solver terminal point by the closed-form structure.
 
     A point whose x-part is below 10*residual_tol is the zero segment
     (the whole segment is critical, so x is the only discriminator); the
-    rest are branch families at t = +-1 up to t_tol, anything else is
-    labelled other.
+    rest are branch families at t = +-1 up to _FACE_T_TOL, anything else
+    is labelled other.
     """
     coords = np.asarray(coords, dtype=float)
     t, x = coords[0], coords[1:]
-    if np.linalg.norm(x) < 10.0 * residual_tol and abs(t) <= 1.0 + t_tol:
+    if np.linalg.norm(x) < 10.0 * residual_tol and abs(t) <= 1.0 + _FACE_T_TOL:
         return LABEL_Z, None
     signs = np.where(x > 10.0 * residual_tol, 1, np.where(x < -10.0 * residual_tol, -1, 0))
-    if abs(t - 1.0) <= t_tol:
+    if abs(t - 1.0) <= _FACE_T_TOL:
         return LABEL_N, _pattern_string(signs)
-    if abs(t + 1.0) <= t_tol:
+    if abs(t + 1.0) <= _FACE_T_TOL:
         return LABEL_NEG_N, _pattern_string(signs)
     return LABEL_OTHER, _pattern_string(signs)
 
@@ -309,23 +304,30 @@ class InteriorExclusionReport:
     passed: bool
 
 
-def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, delta: float = 1e-3,
-                                 x_tol: float = 1e-6, jmax: int | None = None,
-                                 seed_rng: int = 0, max_flow_time: float = 2e5):
+# interior band |t| < 1 - _INTERIOR_DELTA, zero x-part up to _INTERIOR_X_TOL,
+# tail bounds for leading indices up to max(n, _TAIL_JMAX), and the flow-time
+# budget of each seed
+_INTERIOR_DELTA = 1e-3
+_INTERIOR_X_TOL = 1e-6
+_TAIL_JMAX = 6
+_INTERIOR_FLOW_TIME = 2e5
+
+
+def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, seed_rng: int = 0):
     """Check the two halves of the interior-exclusion argument.
 
     Analytically: for every leading index j0, the tail sum
     sum_{j>j0} 27 * 3^(-4j) stays below the cap (2/3) * 3^(-4 j0) while the
     leading term is at least 3^(-4 j0); the margin between tail and cap is
     reported per j0.  Numerically: descent flow is launched from seeded
-    boxes and every converged point with |t| < 1 - delta must have zero
-    x-part (within x_tol).  Non-converged seeds are counted, not fatal.
+    boxes and every converged point with |t| < 1 - _INTERIOR_DELTA must
+    have zero x-part (within _INTERIOR_X_TOL).  Non-converged seeds are
+    counted, not fatal.
     """
     from .solvers import SolveConfig, gradient_flow_solve_batch, model_seed_sampler
 
-    jmax = jmax if jmax is not None else max(model.params.n, 6)
     rows = []
-    for j0 in range(1, jmax + 1):
+    for j0 in range(1, max(model.params.n, _TAIL_JMAX) + 1):
         tail = 27.0 * 3.0 ** (-4 * (j0 + 1)) / (1.0 - 3.0 ** -4)
         cap = (2.0 / 3.0) * 3.0 ** (-4 * j0)
         lower = 3.0 ** (-4 * j0)
@@ -334,7 +336,7 @@ def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, delta: flo
 
     rng = np.random.default_rng(seed_rng)
     seed_pts = model_seed_sampler(model.params, rng, seeds)
-    cfg = SolveConfig(residual_tol=1e-8, max_flow_time=max_flow_time, seed_rng=seed_rng)
+    cfg = SolveConfig(residual_tol=1e-8, max_flow_time=_INTERIOR_FLOW_TIME, seed_rng=seed_rng)
     results = gradient_flow_solve_batch(model, seed_pts, cfg)
 
     violations = []
@@ -344,7 +346,7 @@ def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, delta: flo
             continue
         converged += 1
         c = res.coords
-        if abs(c[0]) < 1.0 - delta and np.linalg.norm(c[1:]) > x_tol:
+        if abs(c[0]) < 1.0 - _INTERIOR_DELTA and np.linalg.norm(c[1:]) > _INTERIOR_X_TOL:
             violations.append(c)
 
     passed = min_margin >= 0.25 and not violations
@@ -394,8 +396,8 @@ class SublinearEnergy(Functional):
         return np.abs(np.asarray(coords, dtype=float))
 
 
-def sublinear_energy(grid: H01Grid | None = None, p: float = 0.5, nodes: int = 200):
-    return SublinearEnergy(grid if grid is not None else H01Grid(nodes), p=p)
+def sublinear_energy(grid: H01Grid, p: float = 0.5):
+    return SublinearEnergy(grid, p=p)
 
 
 class WrapperFunctional(Functional):
@@ -450,5 +452,5 @@ class WrapperFunctional(Functional):
         return seam
 
 
-def wrapper_functional(grid: H01Grid | None = None, p: float = 0.5, nodes: int = 200):
-    return WrapperFunctional(grid if grid is not None else H01Grid(nodes), p=p)
+def wrapper_functional(grid: H01Grid, p: float = 0.5):
+    return WrapperFunctional(grid, p=p)

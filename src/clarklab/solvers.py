@@ -34,6 +34,7 @@ from .models import (
     ClarkModel,
     CriticalPoint,
     ModelParams,
+    _pattern_string,
     classify_model_point,
 )
 from .spaces import Point
@@ -41,24 +42,26 @@ from .spaces import Point
 
 @dataclass(frozen=True)
 class SolveConfig:
-    # step_cap bounds the step of every capped block (see
-    # Functional.step_blocks).  It sits below the explicit-Euler stability
-    # edge 2/lambda = 4 of the coordinate models' branch modes (curvature
-    # 1/2); larger caps buy nothing there.  Uncapped blocks, such as the
-    # model's t, grow their step as far as the Armijo test allows.
     residual_tol: float = 1e-8
     max_flow_time: float = 1e6
-    step_cap: float = 3.8
     seed_rng: int = 0
-    initial_step: float = 0.1
-    armijo: float = 1e-4
-    grow: float = 1.3
-    shrink: float = 0.5
-    min_step: float = 1e-14
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.max_flow_time <= 0 or self.step_cap <= 0:
-            raise InvalidParams("residual_tol, max_flow_time and step_cap must be positive")
+        if self.residual_tol <= 0 or self.max_flow_time <= 0:
+            raise InvalidParams("residual_tol and max_flow_time must be positive")
+
+
+# _STEP_CAP bounds the step of every capped block (see
+# Functional.step_blocks).  It sits below the explicit-Euler stability
+# edge 2/lambda = 4 of the coordinate models' branch modes (curvature
+# 1/2); larger caps buy nothing there.  Uncapped blocks, such as the
+# model's t, grow their step as far as the Armijo test allows.
+_STEP_CAP = 3.8
+_INITIAL_STEP = 0.1
+_ARMIJO = 1e-4      # sufficient-decrease fraction
+_GROW = 1.3         # step factor after an accepted step
+_SHRINK = 0.5       # step factor after a rejected step
+_MIN_STEP = 1e-14   # a block step below this stalls the row
 
 
 # Near a terminal point the true per-step decrease h*|g|^2 drops below the
@@ -93,7 +96,7 @@ class NoSolution:
 # why a batch row stopped
 STOP_CONVERGED = "converged"
 STOP_BUDGET = "budget"      # flow time reached max_flow_time
-STOP_STALLED = "stalled"    # a step shrank below min_step
+STOP_STALLED = "stalled"    # a step shrank below _MIN_STEP
 
 _STOP_NOTES = {
     STOP_BUDGET: "time budget exhausted",
@@ -129,8 +132,8 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     m = u.shape[0]
     blocks = f.step_blocks()
     nb = len(blocks)
-    caps = [cfg.step_cap if capped else np.inf for _, capped in blocks]
-    h = np.full((m, nb), cfg.initial_step)
+    caps = [_STEP_CAP if capped else np.inf for _, capped in blocks]
+    h = np.full((m, nb), _INITIAL_STEP)
     tau = np.zeros((m, nb))
     steps = np.zeros(m, dtype=int)
     energy = f.value_of(u)
@@ -155,7 +158,7 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             gnorm2 = np.sum(gb * gb, axis=1)
         e_prop = np.atleast_1d(f.value_of(prop))
         slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy[idx]))
-        accept = e_prop <= energy[idx] - cfg.armijo * hb * gnorm2 + slack
+        accept = e_prop <= energy[idx] - _ARMIJO * hb * gnorm2 + slack
 
         acc = idx[accept]
         if acc.size:
@@ -165,7 +168,7 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             # a block whose gradient vanishes exactly (the model's t at the
             # clamp corners) keeps its step, so an uncapped step stays finite
             grow = acc[gnorm2[accept] > 0.0]
-            h[grow, b] = np.minimum(h[grow, b] * cfg.grow, caps[b])
+            h[grow, b] = np.minimum(h[grow, b] * _GROW, caps[b])
             g_new = f.grad_of(u[acc])
             grad[acc] = g_new
             r_new = np.atleast_1d(space.norm(g_new))
@@ -173,13 +176,13 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             gg[acc] = r_new * r_new
 
         rej = idx[~accept]
-        h[rej, b] *= cfg.shrink
+        h[rej, b] *= _SHRINK
         steps[idx] += 1
         k += 1
 
         done = res[idx] <= cfg.residual_tol
         out_of_time = np.min(tau[idx], axis=1) >= cfg.max_flow_time
-        stalled = h[idx, b] < cfg.min_step
+        stalled = h[idx, b] < _MIN_STEP
         active[idx[done | out_of_time | stalled]] = False
 
     flow_time = np.min(tau, axis=1)
@@ -231,8 +234,12 @@ def gradient_flow_solve(f: Functional, seed: Point, cfg: SolveConfig | None = No
 # ---------------------------------------------------------------------------
 # structured solve on the coordinate model
 
-def structured_solve(model: ClarkModel, pattern, t_tol: float = 1e-12,
-                     residual_tol: float = 1e-10):
+# bisection width in t, and the residual a structured root must reach
+_BISECT_TOL = 1e-12
+_ROOT_TOL = 1e-10
+
+
+def structured_solve(model: ClarkModel, pattern):
     """Critical point for a given sign pattern of the coordinate model.
 
     The x-part follows the branch formulas as a function of t; what is left
@@ -259,12 +266,10 @@ def structured_solve(model: ClarkModel, pattern, t_tol: float = 1e-12,
             non_isolated=True,
         )
 
-    sgn = np.array(signs)
+    sgn = np.array([signs])
 
     def assemble(t):
-        pos, neg = model.params.branch_magnitudes(t)
-        x = np.where(sgn > 0, pos, 0.0) - np.where(sgn < 0, neg, 0.0)
-        return np.concatenate([[t], x])
+        return model.params.branch_coords(t, sgn)[0]
 
     def g(t):
         return float(model.grad_of(assemble(t))[0])
@@ -278,7 +283,7 @@ def structured_solve(model: ClarkModel, pattern, t_tol: float = 1e-12,
         candidates.append(hi)
     if glo * ghi < 0.0:
         a, b, ga = lo, hi, glo
-        while b - a > t_tol:
+        while b - a > _BISECT_TOL:
             mid = 0.5 * (a + b)
             gm = g(mid)
             if gm == 0.0:
@@ -291,20 +296,20 @@ def structured_solve(model: ClarkModel, pattern, t_tol: float = 1e-12,
         candidates.append(0.5 * (a + b))
     # tangential roots at the clamp corners
     for t in (1.0, -1.0):
-        if abs(g(t)) <= residual_tol:
+        if abs(g(t)) <= _ROOT_TOL:
             candidates.append(t)
 
     verified = []
     for t in candidates:
         coords = assemble(t)
         r = model.residual(coords)
-        if r <= residual_tol:
+        if r <= _ROOT_TOL:
             verified.append((t, coords, r))
     if not verified:
-        return NoSolution(pattern="".join({1: "+", 0: "0", -1: "-"}[s] for s in signs))
+        return NoSolution(pattern=_pattern_string(signs))
 
     t, coords, r = max(verified, key=lambda v: v[0])
-    label, pat = classify_model_point(model, coords, residual_tol=residual_tol)
+    label, pat = classify_model_point(model, coords, residual_tol=_ROOT_TOL)
     return CriticalPoint(
         point=Point(coords, model.space),
         value=float(model.value_of(coords)),
@@ -402,16 +407,18 @@ class AccumulationReport:
         }
 
 
-def accumulation_scan(f: Functional, k0hat_coords, window, n_seeds: int,
-                      cfg: SolveConfig | None = None, seed_sampler=None,
-                      classifier=None, threads: int = 1) -> AccumulationReport:
-    """Launch seeded descent flows and keep converged terminals whose value
-    falls strictly inside the window (lo, hi), hi <= 0.
+def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
+                      cfg: SolveConfig | None = None, threads: int = 1) -> AccumulationReport:
+    """Launch seeded descent flows on the coordinate model and keep
+    converged terminals whose value falls strictly inside the window
+    (lo, hi), hi <= 0, labelled by ``classify_model_point``.
 
     ``k0hat_coords`` is the cloud against which terminal distances are
-    reported (for the coordinate model: samples of the stationary segment).
-    An empty report is a valid outcome.
+    reported (samples of the stationary segment).  An empty report is a
+    valid outcome.
     """
+    if not isinstance(model, ClarkModel):
+        raise InvalidParams("accumulation_scan runs on the coordinate model")
     lo, hi = window
     if not (lo < hi <= 0.0):
         raise InvalidParams(f"window must satisfy lo < hi <= 0, got ({lo}, {hi})")
@@ -420,23 +427,16 @@ def accumulation_scan(f: Functional, k0hat_coords, window, n_seeds: int,
     cfg = cfg or SolveConfig()
     k0hat = np.atleast_2d(np.asarray(k0hat_coords, dtype=float))
 
-    rng = np.random.default_rng(cfg.seed_rng)
-    if seed_sampler is None:
-        if isinstance(f, ClarkModel):
-            seeds = model_seed_sampler(f.params, rng, n_seeds)
-        else:
-            seeds = ball_seed_sampler(f.space, 1.0, rng, n_seeds)
-    else:
-        seeds = seed_sampler(rng, n_seeds)
+    seeds = model_seed_sampler(model.params, np.random.default_rng(cfg.seed_rng), n_seeds)
 
     if threads > 1:
         chunks = np.array_split(seeds, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: gradient_flow_solve_batch(f, c, cfg),
+            parts = list(pool.map(lambda c: gradient_flow_solve_batch(model, c, cfg),
                                   [c for c in chunks if len(c)]))
         results = [r for part in parts for r in part]
     else:
-        results = gradient_flow_solve_batch(f, seeds, cfg)
+        results = gradient_flow_solve_batch(model, seeds, cfg)
 
     entries = []
     n_conv = 0
@@ -446,12 +446,7 @@ def accumulation_scan(f: Functional, k0hat_coords, window, n_seeds: int,
         n_conv += 1
         if not (lo < row.value < hi):
             continue
-        if classifier is not None:
-            label, pattern = classifier(row.coords, cfg.residual_tol)
-        elif isinstance(f, ClarkModel):
-            label, pattern = classify_model_point(f, row.coords, cfg.residual_tol)
-        else:
-            label, pattern = LABEL_OTHER, None
+        label, pattern = classify_model_point(model, row.coords, cfg.residual_tol)
         dist = float(np.min(np.linalg.norm(k0hat - row.coords, axis=1)))
         entries.append(
             ScanEntry(value=row.value, residual=row.residual, t=float(row.coords[0]),

@@ -15,7 +15,7 @@ All vector operations accept batches: arrays of shape (..., dim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,16 +52,10 @@ class H01Grid:
     """
 
     nodes: int
-    mesh_width: float = field(default=0.0)
 
-    def __post_init__(self):
-        h = 1.0 / (self.nodes + 1)
-        if self.mesh_width == 0.0:
-            object.__setattr__(self, "mesh_width", h)
-        elif abs(self.mesh_width - h) > 1e-14:
-            raise DimensionError(
-                f"mesh_width {self.mesh_width} inconsistent with {self.nodes} nodes"
-            )
+    @property
+    def mesh_width(self):
+        return 1.0 / (self.nodes + 1)
 
     @property
     def dim(self):

@@ -14,7 +14,7 @@ construction get bounds, there is no general algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -52,19 +52,17 @@ class Cloud:
     def __len__(self):
         return self.coords.shape[0]
 
-    @classmethod
-    def from_points(cls, points, symmetric: bool = False) -> "Cloud":
-        return cls(np.array([p.coords for p in points]), symmetric=symmetric)
-
     def subset(self, indices) -> "Cloud":
         return Cloud(self.coords[np.asarray(indices, dtype=int)])
 
-    def origin_index(self, tol: float = ORIGIN_TOL):
+    def origin_index(self):
+        """Index of the point nearest the origin if it lies within
+        ORIGIN_TOL of it, else None."""
         if not len(self):
             return None
         norms = np.linalg.norm(self.coords, axis=1)
         i = int(np.argmin(norms))
-        return i if norms[i] <= tol else None
+        return i if norms[i] <= ORIGIN_TOL else None
 
     def min_origin_distance(self) -> float:
         if not len(self):
@@ -74,55 +72,46 @@ class Cloud:
     def to_json_list(self):
         return [[float(v) for v in row] for row in self.coords]
 
-    @classmethod
-    def from_json_list(cls, data, symmetric: bool = False) -> "Cloud":
-        return cls(np.asarray(data, dtype=float), symmetric=symmetric)
 
-
-def components(cloud: Cloud, delta: float) -> list:
-    """Partition of cloud indices into chain components at scale delta
-    (edges strictly below 2*delta)."""
+def _component_labels(cloud: Cloud, delta: float) -> np.ndarray:
+    """One chain-component label per cloud point at scale delta (edges
+    strictly below 2*delta)."""
     if delta <= 0:
         raise InvalidParams("delta must be positive")
     m = len(cloud)
-    if m == 0:
-        return []
     tree = cKDTree(cloud.coords)
     pairs = tree.query_pairs(2.0 * delta, output_type="ndarray")
     if len(pairs):
         gap = np.linalg.norm(cloud.coords[pairs[:, 0]] - cloud.coords[pairs[:, 1]], axis=1)
         pairs = pairs[gap < 2.0 * delta]
-    if len(pairs):
-        data = np.ones(len(pairs))
-        adj = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-        _, labels = _graph_components(adj, directed=False)
-    else:
-        labels = np.arange(m)
-    order = {}
-    groups = []
-    for i, lab in enumerate(labels):
-        if lab not in order:
-            order[lab] = len(groups)
-            groups.append([])
-        groups[order[lab]].append(i)
-    return [np.array(g, dtype=int) for g in groups]
+    if not len(pairs):
+        return np.arange(m)
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    return _graph_components(adj, directed=False)[1]
 
 
-def component_of_origin(cloud: Cloud, delta: float, origin_tol: float = ORIGIN_TOL) -> Cloud:
+def components(cloud: Cloud, delta: float) -> list:
+    """Partition of cloud indices into chain components at scale delta
+    (edges strictly below 2*delta): index arrays in ascending order, the
+    components in the order of their first member."""
+    labels = _component_labels(cloud, delta)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    members = np.argsort(inverse, kind="stable")
+    groups = np.split(members, np.cumsum(np.bincount(inverse))[:-1])
+    return [groups[g] for g in np.argsort(first)]
+
+
+def component_of_origin(cloud: Cloud, delta: float) -> Cloud:
     """Member points of the origin's chain component at scale delta."""
-    idx = component_of_origin_indices(cloud, delta, origin_tol)
-    return cloud.subset(idx)
+    return cloud.subset(component_of_origin_indices(cloud, delta))
 
 
-def component_of_origin_indices(cloud: Cloud, delta: float,
-                                origin_tol: float = ORIGIN_TOL) -> np.ndarray:
-    o = cloud.origin_index(origin_tol)
+def component_of_origin_indices(cloud: Cloud, delta: float) -> np.ndarray:
+    o = cloud.origin_index()
     if o is None:
-        raise OriginMissing(f"no cloud point within {origin_tol} of the origin")
-    for group in components(cloud, delta):
-        if o in group:
-            return group
-    raise RuntimeError("internal: components() did not cover the origin index")
+        raise OriginMissing(f"no cloud point within {ORIGIN_TOL} of the origin")
+    labels = _component_labels(cloud, delta)
+    return np.flatnonzero(labels == labels[o])
 
 
 @dataclass

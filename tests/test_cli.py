@@ -95,12 +95,13 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("scan", "--n", "0"), "n must be positive"),
     (("minimax", "--n", "0"), "n must be positive"),
     (("psdiag", "--n", "0"), "n must be positive"),
-    (("bvp", "--kmax", "0"), "kmax must be positive"),
+    (("bvp", "--kmax", "0"), "kmax must be at least 2"),
+    (("bvp", "--kmax", "1"), "kmax must be at least 2"),
     (("bvp", "--nodes", "0"), "nodes must be positive"),
     (("stabilize", "--clouds", "-1"), "clouds must be positive"),
     (("enumerate", "--z-samples", "1"), "z_samples must be at least 2"),
-], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-nodes",
-        "stabilize-clouds", "enumerate-z_samples"])
+], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
+        "bvp-nodes", "stabilize-clouds", "enumerate-z_samples"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
@@ -216,7 +217,7 @@ def test_failed_checks_exit_two_and_mark_the_manifest(tmp_path):
 
 def test_domain_errors_exit_two_with_a_note(tmp_path):
     out = tmp_path / "out"
-    proc = run_cli("bvp", "--p", "1.5", "--kmax", "1", "--out", str(out))
+    proc = run_cli("bvp", "--p", "1.5", "--kmax", "2", "--out", str(out))
     assert proc.returncode == 2
     assert "InvalidParams" in proc.stderr
     manifest = read_json(out / "manifest.json")

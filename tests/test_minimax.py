@@ -99,7 +99,7 @@ def test_nonnegative_region_yields_no_certificate():
     # inside the unit ball the wrapper is 1 - cos(2 pi |u|^2) >= 0
     w = wrapper_functional(H01Grid(6))
     with pytest.raises(NoNegativeCertificate):
-        cj_upper_bound(w, 1, rho_grid=(0.3, 0.5))
+        cj_upper_bound(w, 1)
 
 
 def test_block_and_radius_validation():
@@ -110,5 +110,3 @@ def test_block_and_radius_validation():
         sphere_sup(model, 0, 0.1)
     with pytest.raises(InvalidParams):
         sphere_sup(model, 1, 0.0)
-    with pytest.raises(InvalidParams):
-        cj_upper_bound(model, 1, rho_grid=())

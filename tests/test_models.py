@@ -94,11 +94,11 @@ def test_value_is_even_and_zero_on_the_segment():
     assert np.array_equal(model.grad_of(seg), np.zeros((9, 4)))
 
 
-def test_clark_model_factory_rejects_conflicts():
-    with pytest.raises(InvalidParams):
-        clark_model(ModelParams(n=3), n=4)
+def test_clark_model_factory_rejects_a_bad_dimension():
     with pytest.raises(InvalidParams):
         ModelParams(n=0)
+    with pytest.raises(InvalidParams):
+        clark_model(n=0)
     assert isinstance(clark_model(n=2), ClarkModel)
 
 
@@ -147,7 +147,7 @@ def test_classification_recognizes_all_families():
 
 def test_interior_exclusion_margins_and_flow_crosscheck():
     model = clark_model(n=2)
-    report = verify_no_interior_negatives(model, seeds=80, jmax=6, seed_rng=1)
+    report = verify_no_interior_negatives(model, seeds=80, seed_rng=1)
     # tail/cap ratio is 81/160 for every leading index, margin 79/160
     assert report.min_margin == pytest.approx(79.0 / 160.0, abs=1e-12)
     assert all(r[4] == pytest.approx(79.0 / 160.0, abs=1e-12) for r in report.bound_rows)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarklab.errors import InvalidParams
+from clarklab.functionals import Functional
 from clarklab.models import (
     CriticalSetOracle,
     ModelParams,
@@ -14,7 +15,13 @@ from clarklab.models import (
     sublinear_energy,
 )
 from clarklab.solvers import (
+    _ARMIJO,
     _ENERGY_NOISE,
+    _GROW,
+    _INITIAL_STEP,
+    _MIN_STEP,
+    _SHRINK,
+    _STEP_CAP,
     NonConvergence,
     NoSolution,
     SolveConfig,
@@ -59,19 +66,32 @@ def test_flow_returns_nonconvergence_when_budget_runs_out():
     assert row.stop == "budget" and not row.converged
 
 
+class _Uphill(Functional):
+    """|u|^2 with the gradient's sign flipped: every descent step climbs."""
+
+    space = L2Truncation(2)
+
+    def value_of(self, coords):
+        return np.sum(np.asarray(coords) ** 2, axis=-1)
+
+    def grad_of(self, coords):
+        return -2.0 * np.asarray(coords, dtype=float)
+
+
 def test_flow_reports_a_collapsed_step_as_stalled():
-    # a step floor above the initial step stops the row after its first
-    # iteration with the step below min_step, far inside the time budget
-    model = clark_model(n=2)
-    cfg = SolveConfig(min_step=1.0)
-    seed = Point(np.array([0.5, 0.2, 0.1]), model.space)
-    out = gradient_flow_solve(model, seed, cfg)
+    # every proposal raises the energy, so every step is rejected and the
+    # step halves from _INITIAL_STEP until it falls below _MIN_STEP
+    f = _Uphill()
+    seed = Point(np.array([0.5, 0.2]), f.space)
+    out = gradient_flow_solve(f, seed)
     assert isinstance(out, NonConvergence)
     assert out.note == "step collapsed below min_step"
-    assert out.flow_time < cfg.max_flow_time
-    row = gradient_flow_solve_batch(model, seed.coords, cfg)[0]
+    assert out.flow_time == 0.0
+    row = gradient_flow_solve_batch(f, seed.coords, SolveConfig())[0]
     assert row.stop == "stalled" and not row.converged
-    assert row.steps == 1
+    assert row.flow_time == 0.0
+    assert _INITIAL_STEP * _SHRINK ** row.steps < _MIN_STEP
+    assert _INITIAL_STEP * _SHRINK ** (row.steps - 1) >= _MIN_STEP
 
 
 def test_batch_rows_match_single_seed_solves():
@@ -92,7 +112,7 @@ def _full_gradient_reference(f, seeds, cfg):
     own: the batch solver's one-block path must reproduce it bit for bit."""
     u = np.array(seeds, dtype=float)
     m = u.shape[0]
-    h = np.full(m, cfg.initial_step)
+    h = np.full(m, _INITIAL_STEP)
     tau = np.zeros(m)
     steps = np.zeros(m, dtype=int)
     energy = f.value_of(u)
@@ -105,20 +125,20 @@ def _full_gradient_reference(f, seeds, cfg):
         prop = u[idx] - h[idx, None] * grad[idx]
         e_prop = np.atleast_1d(f.value_of(prop))
         slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy[idx]))
-        accept = e_prop <= energy[idx] - cfg.armijo * h[idx] * gg[idx] + slack
+        accept = e_prop <= energy[idx] - _ARMIJO * h[idx] * gg[idx] + slack
         acc = idx[accept]
         if acc.size:
             u[acc] = prop[accept]
             energy[acc] = e_prop[accept]
             tau[acc] += h[acc]
-            h[acc] = np.minimum(h[acc] * cfg.grow, cfg.step_cap)
+            h[acc] = np.minimum(h[acc] * _GROW, _STEP_CAP)
             grad[acc] = f.grad_of(u[acc])
             res[acc] = np.atleast_1d(f.space.norm(grad[acc]))
             gg[acc] = res[acc] * res[acc]
-        h[idx[~accept]] *= cfg.shrink
+        h[idx[~accept]] *= _SHRINK
         steps[idx] += 1
         stop = ((res[idx] <= cfg.residual_tol) | (tau[idx] >= cfg.max_flow_time)
-                | (h[idx] < cfg.min_step))
+                | (h[idx] < _MIN_STEP))
         active[idx[stop]] = False
     return u, energy, tau, steps
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarklab.errors import (
     EmptyInput,
@@ -56,6 +58,56 @@ def test_component_of_origin_requires_the_origin():
     cloud = Cloud(np.array([[0.5], [0.6]]))
     with pytest.raises(OriginMissing):
         component_of_origin(cloud, 0.2)
+
+
+def _union_find_components(coords, delta):
+    """Brute force: union every pair closer than 2*delta, then list the
+    groups by their first member, members ascending."""
+    m = len(coords)
+    root = list(range(m))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    dists = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=-1)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if dists[i, j] < 2.0 * delta:
+                root[find(j)] = find(i)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def _assert_matches_union_find(coords, delta):
+    got = [g.tolist() for g in components(Cloud(coords), delta)]
+    assert got == _union_find_components(coords, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=25))
+def test_components_on_lattice_clouds_do_not_chain_at_exactly_two_delta(points):
+    # lattice neighbours sit at distance exactly 1 = 2*delta, so no pair
+    # chains; at a slightly larger delta they do
+    coords = np.array(points, dtype=float)
+    _assert_matches_union_find(coords, 0.5)
+    _assert_matches_union_find(coords, 0.5 + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+                       min_size=1, max_size=30),
+       delta=st.floats(0.01, 1.0))
+def test_components_match_a_brute_force_union_find(points, delta):
+    _assert_matches_union_find(np.array(points), delta)
+
+
+def test_components_of_an_empty_cloud():
+    assert components(Cloud(np.zeros((0, 2))), 0.1) == []
 
 
 def test_components_validate_inputs():
