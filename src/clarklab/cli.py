@@ -191,7 +191,6 @@ def _run_deform(ns, out: Path):
         SampleSpec,
         estimate_bounds,
         eta_epsilon_batch,
-        flow,
         make_setup,
         two_cluster_setup_clouds,
     )
@@ -206,18 +205,16 @@ def _run_deform(ns, out: Path):
     seeds = []
     while len(seeds) < ns.samples:
         cand = rng.uniform(-1.6, 1.6, size=(4 * ns.samples, 2))
-        vals = f.value_of(cand)
-        keep = cand[vals <= -setup.eps]
-        seeds.extend(keep.tolist())
+        seeds.extend(cand[f.value_of(cand) <= -setup.eps].tolist())
     seeds = np.array(seeds[: ns.samples])
 
     terminals, max_uptick, max_speed = eta_epsilon_batch(setup, seeds)
 
-    odd_dev = 0.0
-    for i in range(min(ns.odd_pairs, len(seeds))):
-        tr_p = flow(setup, Point(seeds[i], f.space), setup.t_eps)
-        tr_m = flow(setup, Point(-seeds[i], f.space), setup.t_eps)
-        odd_dev = max(odd_dev, float(np.max(np.abs(tr_p.points[-1] + tr_m.points[-1]))))
+    # eta is odd when the time-T images of s and -s cancel
+    pairs = seeds[: ns.odd_pairs]
+    odd_out, _, _ = eta_epsilon_batch(setup, np.concatenate([pairs, -pairs]))
+    k = len(pairs)
+    odd_dev = float(np.max(np.abs(odd_out[:k] + odd_out[k:])))
 
     results = {
         "setup": setup.to_json_dict(),
@@ -396,9 +393,14 @@ def main(argv=None) -> int:
         if typ is int and getattr(ns, key) < low:
             parser.error(f"{key} must be positive" if low == 1
                          else f"{key} must be at least {low}")
+    if ns.seed < 0:
+        parser.error("seed must be non-negative")
 
     out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create output directory: {exc}")
     started = time.time()
     status = "error"
     checks = {}

@@ -295,9 +295,7 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace
     after every accepted step."""
     if t_final < 0:
         raise InvalidParams("flow time must be nonnegative")
-    u = np.array(seeds, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
+    u = np.atleast_2d(np.array(seeds, dtype=float))
     h_max = 0.01 * setup.r
     h = h_max
     t = 0.0
@@ -342,10 +340,10 @@ def flow(setup: DeformationSetup, u: Point, t_final: float) -> FlowTrace:
                      energies=np.array([float(e[0]) for _, _, e in trace]))
 
 
-def _meets_contract(setup, coords, slack=1e-9):
-    val = float(setup.f.value_of(coords))
-    dist = float(cdist(coords[None, :], setup.k0e.coords).min())
-    return val <= -setup.d + slack or dist < 3.0 * setup.r
+def _meets_contract(setup, rows, slack=1e-9):
+    vals = np.atleast_1d(setup.f.value_of(rows))
+    dist = cdist(rows, setup.k0e.coords).min(axis=1)
+    return (vals <= -setup.d + slack) | (dist < 3.0 * setup.r)
 
 
 def eta_epsilon(setup: DeformationSetup, u: Point) -> Point:
@@ -356,7 +354,7 @@ def eta_epsilon(setup: DeformationSetup, u: Point) -> Point:
         raise InvalidParams("deformation input must satisfy I(u) <= -eps")
     trace = flow(setup, u, setup.t_eps)
     out = trace.points[-1]
-    if not _meets_contract(setup, out):
+    if not _meets_contract(setup, out[None, :])[0]:
         raise DeformationFailure(
             f"deformation output has I = {float(setup.f.value_of(out)):.6f} > -d "
             f"and sits {float(cdist(out[None, :], setup.k0e.coords).min()):.6f} "
@@ -374,10 +372,10 @@ def eta_epsilon_batch(setup: DeformationSetup, seeds: np.ndarray):
     if np.any(vals > -setup.eps):
         raise InvalidParams("all deformation inputs must satisfy I(u) <= -eps")
     out, max_uptick, max_speed = flow_batch(setup, seeds, setup.t_eps)
-    for i in range(out.shape[0]):
-        if not _meets_contract(setup, out[i]):
-            eta_epsilon(setup, Point(seeds[i], setup.f.space))  # raises with trace
-            raise DeformationFailure("contract violated in batch but not in re-run")
+    bad = np.flatnonzero(~_meets_contract(setup, out))
+    if len(bad):
+        eta_epsilon(setup, Point(seeds[bad[0]], setup.f.space))  # raises with trace
+        raise DeformationFailure("contract violated in batch but not in re-run")
     return out, max_uptick, max_speed
 
 

@@ -185,14 +185,13 @@ def _pattern_string(signs):
     return "".join({1: "+", 0: "0", -1: "-"}[s] for s in signs)
 
 
-def _branch_point(model: ClarkModel, coords, signs) -> CriticalPoint:
-    return CriticalPoint(
-        point=Point(coords, model.space),
-        value=float(model.value_of(coords)),
-        residual=model.residual(coords),
-        label=LABEL_N if coords[0] > 0 else LABEL_NEG_N,
-        sign_pattern=_pattern_string(signs),
-    )
+def _branch_rows(params: ModelParams):
+    """Sign patterns and rows of the 3^n branch points at t = 1, then their
+    mirrors at t = -1 (built from the negated signs, so zeros stay +0.0)."""
+    signs = np.array(list(itertools.product((1, 0, -1), repeat=params.n)))
+    rows = np.concatenate([params.branch_coords(1.0, signs),
+                           params.branch_coords(-1.0, -signs)])
+    return np.concatenate([signs, -signs]), rows
 
 
 @dataclass
@@ -225,22 +224,20 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     if z_samples < 2:
         raise InvalidParams("z_samples must be at least 2")
     params = model.params
-    signs = np.array(list(itertools.product((1, 0, -1), repeat=params.n)))
-    pts = [_branch_point(model, coords, s)
-           for t, sgn in ((1.0, signs), (-1.0, -signs))
-           for coords, s in zip(params.branch_coords(t, sgn), sgn)]
-    for t in np.linspace(-1.0, 1.0, z_samples):
-        coords = np.concatenate([[t], np.zeros(params.n)])
-        pts.append(
-            CriticalPoint(
-                point=Point(coords, model.space),
-                value=float(model.value_of(coords)),
-                residual=model.residual(coords),
-                label=LABEL_Z,
-                sign_pattern=None,
-            )
-        )
-    pts.sort(key=lambda p: (p.value, tuple(p.point.coords)))
+    signs, branches = _branch_rows(params)
+    segment = np.zeros((z_samples, params.n + 1))
+    segment[:, 0] = np.linspace(-1.0, 1.0, z_samples)
+    rows = np.concatenate([branches, segment])
+    values = model.value_of(rows)
+    residuals = model.space.norm(model.grad_of(rows))
+    half = len(signs) // 2
+    labels = [LABEL_N] * half + [LABEL_NEG_N] * half + [LABEL_Z] * z_samples
+    patterns = [_pattern_string(s) for s in signs] + [None] * z_samples
+    # stable, so the t = +-1 segment rows stay behind the zero-pattern
+    # branch points they duplicate
+    order = np.lexsort(np.vstack([rows.T[::-1], values]))
+    pts = [CriticalPoint(Point(rows[i], model.space), float(values[i]), float(residuals[i]),
+                         labels[i], patterns[i]) for i in order]
     return EnumeratedCriticalSet(n=params.n, points=pts)
 
 
@@ -249,9 +246,7 @@ class CriticalSetOracle:
 
     def __init__(self, model: ClarkModel):
         self.model = model
-        signs = np.array(list(itertools.product((1, 0, -1), repeat=model.params.n)))
-        plus = model.params.branch_coords(1.0, signs)
-        self._branches = np.concatenate([plus, -plus], axis=0)
+        self._branches = _branch_rows(model.params)[1]
 
     def distance(self, coords):
         """Min distance to the zero segment union the branch points; the

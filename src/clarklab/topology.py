@@ -37,7 +37,9 @@ class Cloud:
     symmetric: bool = False
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.coords, dtype=float))
+        c = np.asarray(self.coords, dtype=float)
+        # an empty input is a cloud of no points, not one point of no coordinates
+        c = c.reshape(0, 0) if c.size == 0 and c.ndim < 2 else np.atleast_2d(c)
         if not np.all(np.isfinite(c)):
             raise InvalidParams("cloud coordinates must be finite")
         self.coords = c
@@ -79,6 +81,8 @@ def _component_labels(cloud: Cloud, delta: float) -> np.ndarray:
     if delta <= 0:
         raise InvalidParams("delta must be positive")
     m = len(cloud)
+    if m < 2:
+        return np.arange(m)
     tree = cKDTree(cloud.coords)
     pairs = tree.query_pairs(2.0 * delta, output_type="ndarray")
     if len(pairs):

@@ -81,12 +81,13 @@ def test_equals_form_flags_beat_the_config_file(tmp_path):
 
 
 def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
-    for line in ("seed = x\n", "threads = 1.5\n"):
+    for line, message in (("seed = x\n", "bad value"), ("threads = 1.5\n", "bad value"),
+                          ("seed = -1\n", "seed must be non-negative")):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line, encoding="utf-8")
         proc = run_cli("enumerate", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
-        assert "bad value" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -100,13 +101,25 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("bvp", "--nodes", "0"), "nodes must be positive"),
     (("stabilize", "--clouds", "-1"), "clouds must be positive"),
     (("enumerate", "--z-samples", "1"), "z_samples must be at least 2"),
+    (("deform", "--seed", "-1"), "seed must be non-negative"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
-        "bvp-nodes", "stabilize-clouds", "enumerate-z_samples"])
+        "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, below):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n", encoding="utf-8")
+    proc = run_cli("enumerate", "--n", "1", "--out", str(target.joinpath(*below)))
+    assert proc.returncode == 1
+    assert "cannot create output directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert target.read_text(encoding="utf-8") == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +244,9 @@ def test_domain_errors_exit_two_with_a_note(tmp_path):
     (("deform", "--samples", "40", "--circle-samples", "32", "--odd-pairs", "5",
       "--budget", "4000"), "deformed.csv"),
     (("psdiag", "--n", "6"), None),
-], ids=["scan", "deform", "psdiag"])
+    (("enumerate", "--n", "2", "--z-samples", "11"), "points.csv"),
+    (("stabilize", "--clouds", "5"), None),
+], ids=["scan", "deform", "psdiag", "enumerate", "stabilize"])
 def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -1,7 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from clarklab import cli, deformation
 from clarklab.deformation import (
     SampleSpec,
     TwoClusterFunctional,
@@ -203,6 +206,38 @@ def test_deformation_is_odd_on_paired_seeds():
         a = eta_epsilon(setup, Point(u, f.space)).coords
         b = eta_epsilon(setup, Point(-u, f.space)).coords
         assert np.max(np.abs(a + b)) <= 1e-10
+
+
+def test_batched_eta_is_exactly_odd_on_stacked_pairs():
+    f, k0i, k0e, delta0, setup = build_setup()
+    seeds = in_band_seeds(f, setup.eps, 6, np.random.default_rng(7))
+    pairs = np.concatenate([seeds, -seeds])
+    out, _, _ = eta_epsilon_batch(setup, pairs)
+    # value and cutoffs are even and the gradient odd, so the shared step
+    # sequence maps -s to exactly minus the image of s
+    assert np.array_equal(out[:6], -out[6:])
+    for seed, end in zip(pairs, out):
+        tr = flow(setup, Point(seed, f.space), setup.t_eps)
+        assert np.max(np.abs(tr.points[-1] - end)) <= 1e-9
+
+
+@pytest.mark.parametrize("odd_pairs", [1, 5, 30])
+def test_deform_runs_two_batch_flows_at_any_pair_count(tmp_path, monkeypatch, odd_pairs):
+    calls = []
+    real = deformation.flow_batch
+
+    def counted(setup, seeds, *args, **kwargs):
+        calls.append(len(seeds))
+        return real(setup, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(deformation, "flow_batch", counted)
+    ns = argparse.Namespace(samples=20, circle_samples=32, odd_pairs=odd_pairs,
+                            budget=4000, seed=0)
+    results, checks = cli._run_deform(ns, tmp_path)
+    # the deformed sample, then the stacked pairs (capped at the sample size)
+    assert calls == [20, 2 * min(odd_pairs, 20)]
+    assert results["oddness_deviation"] == 0.0
+    assert all(checks.values())
 
 
 def test_deformation_rejects_seeds_above_the_band():

@@ -123,6 +123,39 @@ def test_enumeration_counts_mirror_symmetry_and_residuals():
     assert values == sorted(values)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
+    model = clark_model(n=n)
+    calls = {"value_of": 0, "grad_of": 0}
+    for name in calls:
+        def counted(coords, _name=name, _real=getattr(model, name)):
+            calls[_name] += 1
+            return _real(coords)
+        monkeypatch.setattr(model, name, counted)
+    es = enumerate_critical_set(model, z_samples=11)
+    assert calls == {"value_of": 1, "grad_of": 1}
+    monkeypatch.undo()
+
+    assert len(es.points) == 2 * 3 ** n + 11
+    for p in es.points:
+        c = p.point.coords
+        assert p.value == float(model.value_of(c))
+        assert p.residual == model.residual(c)
+        # no negative zeros: the t = -1 rows are built from negated signs
+        assert not np.any(np.signbit(c) & (c == 0.0))
+    assert es.points == sorted(es.points, key=lambda p: (p.value, tuple(p.point.coords)))
+    # the all-zero patterns at t = +-1 duplicate the segment endpoints and
+    # come before them
+    dups = [i for i, p in enumerate(es.points)
+            if p.label == "Z" and abs(p.point.coords[0]) == 1.0]
+    assert len(dups) == 2
+    for i in dups:
+        before = es.points[i - 1]
+        assert np.array_equal(before.point.coords, es.points[i].point.coords)
+        assert before.label == ("N" if before.point.coords[0] > 0 else "-N")
+        assert before.sign_pattern == "0" * n
+
+
 def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)

@@ -110,6 +110,17 @@ def test_components_of_an_empty_cloud():
     assert components(Cloud(np.zeros((0, 2))), 0.1) == []
 
 
+def test_an_empty_list_is_a_cloud_of_no_points():
+    empty = Cloud([])
+    assert len(empty) == 0
+    assert components(empty, 0.1) == []
+    assert empty.origin_index() is None
+    with pytest.raises(EmptyInput):
+        empty.min_origin_distance()
+    with pytest.raises(EmptyInput):
+        hausdorff(empty, Cloud(np.zeros((1, 2))))
+
+
 def test_components_validate_inputs():
     with pytest.raises(InvalidParams):
         components(gap_cloud(), 0.0)
