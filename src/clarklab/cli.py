@@ -229,8 +229,8 @@ def _run_deform(ns, out: Path):
         "speed_bounded": max_speed <= 1.0 + 1e-8,
         "energy_monotone": max_uptick <= 1e-10,
     }
-    rows = [(float(s[0]), float(s[1]), float(t[0]), float(t[1]),
-             float(f.value_of(t))) for s, t in zip(seeds, terminals)]
+    rows = [(float(s[0]), float(s[1]), float(t[0]), float(t[1]), float(v))
+            for s, t, v in zip(seeds, terminals, f.value_of(terminals))]
     _write_csv(out / "deformed.csv",
                ["seed_x1", "seed_x2", "out_x1", "out_x2", "out_value"], rows)
     return results, checks

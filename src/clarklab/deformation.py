@@ -51,7 +51,7 @@ class TwoClusterFunctional(Functional):
 
     @staticmethod
     def _w(s):
-        return s * (s - 1.0) ** 2 * (s - 2.0)
+        return s * np.square(s - 1.0) * (s - 2.0)
 
     @staticmethod
     def _dw(s):

@@ -378,7 +378,7 @@ class SublinearEnergy(Functional):
 
     def value_of(self, coords):
         coords = np.asarray(coords, dtype=float)
-        norm2 = self.space.norm(coords) ** 2
+        norm2 = np.square(self.space.norm(coords))
         pot = self.space.trapezoid(np.abs(coords) ** (self.p + 1.0))
         return 0.5 * norm2 - pot / (self.p + 1.0)
 
@@ -414,7 +414,7 @@ class WrapperFunctional(Functional):
 
     def value_of(self, coords):
         coords = np.asarray(coords, dtype=float)
-        s = self.space.norm(coords) ** 2
+        s = np.square(self.space.norm(coords))
         inside = 1.0 - np.cos(2.0 * np.pi * s)
         w = (s - 1.0)[..., None] * coords if coords.ndim > 1 else (s - 1.0) * coords
         outside = self.inner_energy.value_of(w)
@@ -424,7 +424,7 @@ class WrapperFunctional(Functional):
         coords = np.asarray(coords, dtype=float)
         single = coords.ndim == 1
         u = np.atleast_2d(coords)
-        s = self.space.norm(u) ** 2
+        s = np.square(self.space.norm(u))
         g = 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
         mask = s > 1.0
         if np.any(mask):

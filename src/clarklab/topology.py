@@ -8,6 +8,11 @@ stabilization check tracks the origin's component down a decreasing
 scale schedule: the member sets must nest, and on a finite cloud they
 become constant once the scale drops below the smallest structural gap.
 
+All scales of a schedule come from one finest-first pass over one
+KD-tree.  A coarser scale only adds edges, and an edge inside one
+component changes nothing, so it queries only the points outside the
+largest component, block by block, and merges the labels they join.
+
 Genus values are certificate-based: only set families with a hand-proved
 construction get bounds, there is no general algorithm.
 """
@@ -20,12 +25,13 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import EmptyInput, InvalidParams, NotInGenusFamily, OriginMissing
 
 SYMMETRY_TOL = 1e-12
 ORIGIN_TOL = 1e-12
+# outside points per neighbour query: bounds the pairs held at once
+QUERY_BLOCK = 1024
 
 
 @dataclass
@@ -75,47 +81,47 @@ class Cloud:
         return [[float(v) for v in row] for row in self.coords]
 
 
-def _component_labels(cloud: Cloud, delta: float) -> np.ndarray:
-    """One chain-component label per cloud point at scale delta (edges
-    strictly below 2*delta)."""
-    if delta <= 0:
-        raise InvalidParams("delta must be positive")
+def _labels_down(cloud: Cloud, schedule) -> list:
+    """One chain-component label array per scale of a decreasing schedule
+    (edges strictly below 2*delta), built finest scale first."""
     m = len(cloud)
+    labels = np.arange(m)
     if m < 2:
-        return np.arange(m)
-    tree = cKDTree(cloud.coords)
-    pairs = tree.query_pairs(2.0 * delta, output_type="ndarray")
-    if len(pairs):
-        gap = np.linalg.norm(cloud.coords[pairs[:, 0]] - cloud.coords[pairs[:, 1]], axis=1)
-        pairs = pairs[gap < 2.0 * delta]
-    if not len(pairs):
-        return np.arange(m)
-    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-    return _graph_components(adj, directed=False)[1]
+        return [labels] * len(schedule)
+    coords = cloud.coords
+    tree = cKDTree(coords)
+    out = []
+    for delta in reversed(schedule):
+        reach = 2.0 * delta
+        outside = np.flatnonzero(labels != np.argmax(np.bincount(labels)))
+        for start in range(0, len(outside), QUERY_BLOCK):
+            block = outside[start:start + QUERY_BLOCK]
+            near = cKDTree(coords[block]).sparse_distance_matrix(
+                tree, reach, output_type="ndarray")
+            i, j = block[near["i"]], near["j"]
+            split = labels[i] != labels[j]
+            i, j = i[split], j[split]
+            # the tree's own distances only preselect; the exact gap decides
+            joined = np.linalg.norm(coords[i] - coords[j], axis=1) < reach
+            if np.any(joined):
+                graph = coo_matrix((np.ones(np.count_nonzero(joined)),
+                                    (labels[i[joined]], labels[j[joined]])), shape=(m, m))
+                labels = _graph_components(graph, directed=False)[1][labels]
+        out.append(labels)
+    return out[::-1]
 
 
 def components(cloud: Cloud, delta: float) -> list:
     """Partition of cloud indices into chain components at scale delta
     (edges strictly below 2*delta): index arrays in ascending order, the
     components in the order of their first member."""
-    labels = _component_labels(cloud, delta)
+    if delta <= 0:
+        raise InvalidParams("delta must be positive")
+    labels = _labels_down(cloud, (delta,))[0]
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     members = np.argsort(inverse, kind="stable")
     groups = np.split(members, np.cumsum(np.bincount(inverse))[:-1])
     return [groups[g] for g in np.argsort(first)]
-
-
-def component_of_origin(cloud: Cloud, delta: float) -> Cloud:
-    """Member points of the origin's chain component at scale delta."""
-    return cloud.subset(component_of_origin_indices(cloud, delta))
-
-
-def component_of_origin_indices(cloud: Cloud, delta: float) -> np.ndarray:
-    o = cloud.origin_index()
-    if o is None:
-        raise OriginMissing(f"no cloud point within {ORIGIN_TOL} of the origin")
-    labels = _component_labels(cloud, delta)
-    return np.flatnonzero(labels == labels[o])
 
 
 @dataclass
@@ -143,8 +149,8 @@ class StabilizationReport:
 
 
 def origin_component_stabilization(cloud: Cloud, delta_schedule) -> StabilizationReport:
-    """Run component_of_origin down the schedule; verify the member sets
-    nest as the scale shrinks and report whether they have stabilized.
+    """Track the origin's component down the schedule; verify the member
+    sets nest as the scale shrinks and report whether they have stabilized.
 
     A nesting violation would be an algorithmic bug (shrinking the scale
     can only remove edges), hence RuntimeError rather than a domain error.
@@ -157,10 +163,11 @@ def origin_component_stabilization(cloud: Cloud, delta_schedule) -> Stabilizatio
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParams("schedule must be strictly decreasing")
 
-    member_sets = []
-    for d in schedule:
-        idx = component_of_origin_indices(cloud, d)
-        member_sets.append(tuple(sorted(int(i) for i in idx)))
+    o = cloud.origin_index()
+    if o is None:
+        raise OriginMissing(f"no cloud point within {ORIGIN_TOL} of the origin")
+    member_sets = [tuple(np.flatnonzero(labels == labels[o]).tolist())
+                   for labels in _labels_down(cloud, schedule)]
 
     for coarse, fine in zip(member_sets, member_sets[1:]):
         if not set(fine).issubset(coarse):
@@ -178,13 +185,6 @@ def origin_component_stabilization(cloud: Cloud, delta_schedule) -> Stabilizatio
         stable_cloud=cloud.subset(np.array(member_sets[-1], dtype=int)),
         note=note,
     )
-
-
-def hausdorff(a: Cloud, b: Cloud) -> float:
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyInput("hausdorff distance needs nonempty clouds")
-    d = cdist(a.coords, b.coords)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -299,3 +299,26 @@ def test_even_functionals_have_even_values_and_odd_gradients(name, data):
                              elements=st.floats(-scale, scale, allow_nan=False)))
     assert np.array_equal(f.value_of(-u), f.value_of(u))
     assert np.array_equal(f.grad_of(-u), -f.grad_of(u))
+
+
+# rows whose single-row value differed from their batch row by one ulp while
+# the squares went through scalar pow: (s - 1) ** 2 and ||u|| ** 2
+ULP_ROWS = {
+    "sublinear": [[-0.186, 0.433, 0.184, -0.341, 0.176, 0.054, -0.226]],
+    "wrapper": [[0.427, 0.485, -0.131, 0.316, 0.011, 0.094, 0.365]],
+    "two_cluster": [[-1.43, -0.346]],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EVEN_FUNCTIONALS)), data=st.data())
+def test_a_single_row_evaluates_bit_for_bit_as_its_batch_row(name, data):
+    f = EVEN_FUNCTIONALS[name]
+    scale = 0.5 if isinstance(f.space, H01Grid) else 2.0
+    drawn = data.draw(hnp.arrays(np.float64, (8, f.space.dim),
+                                 elements=st.floats(-scale, scale, allow_nan=False)))
+    u = np.concatenate([np.reshape(ULP_ROWS.get(name, []), (-1, f.space.dim)), drawn])
+    values, grads = f.value_of(u), f.grad_of(u)
+    for row, value, grad in zip(u, values, grads):
+        assert np.asarray(f.value_of(row)).tobytes() == value.tobytes()
+        assert f.grad_of(row).tobytes() == grad.tobytes()

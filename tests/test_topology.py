@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clarklab import topology
 from clarklab.errors import (
     EmptyInput,
     InvalidParams,
@@ -11,16 +15,15 @@ from clarklab.errors import (
 )
 from clarklab.models import clark_model, enumerate_critical_set
 from clarklab.topology import (
+    QUERY_BLOCK,
     Cloud,
     CoordinateSphere,
     FinitePairCloud,
     SymmetricNeighborhood,
     UnionSpec,
-    component_of_origin,
-    component_of_origin_indices,
+    _labels_down,
     components,
     genus_certificate,
-    hausdorff,
     origin_component_stabilization,
 )
 
@@ -45,19 +48,10 @@ def test_components_split_and_merge_with_the_scale():
     assert len(components(cloud, 0.3)) == 1
 
 
-def test_component_of_origin_and_indices_agree():
-    cloud = gap_cloud()
-    comp = component_of_origin(cloud, 0.1)
-    idx = component_of_origin_indices(cloud, 0.1)
-    assert len(comp) == 1
-    assert np.array_equal(comp.coords, cloud.coords[idx])
-    assert np.array_equal(cloud.coords[idx[0]], np.zeros(1))
-
-
 def test_component_of_origin_requires_the_origin():
     cloud = Cloud(np.array([[0.5], [0.6]]))
     with pytest.raises(OriginMissing):
-        component_of_origin(cloud, 0.2)
+        origin_component_stabilization(cloud, (0.2,))
 
 
 def _union_find_components(coords, delta):
@@ -106,6 +100,56 @@ def test_components_match_a_brute_force_union_find(points, delta):
     _assert_matches_union_find(np.array(points), delta)
 
 
+def _label_groups(labels):
+    """Groups of equal labels by first member, members ascending."""
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values())
+
+
+@st.composite
+def _clouds_and_schedules(draw):
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # lattice neighbours sit at exactly 1 = 2 * 0.5: they chain at
+        # 0.5 + 1e-9 and must not chain at 0.5
+        points = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                               min_size=1, max_size=30))
+        scales = st.sampled_from([1.0, 0.75, 0.5 + 1e-9, 0.5, 0.3])
+    else:
+        points = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim),
+                               min_size=1, max_size=30))
+        scales = st.floats(0.01, 1.0)
+    copies = draw(st.lists(st.integers(0, len(points) - 1), max_size=5))
+    coords = np.array(points + [points[k] for k in copies], dtype=float)
+    schedule = tuple(sorted(set(draw(st.lists(scales, min_size=1, max_size=5))), reverse=True))
+    return coords, schedule
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_clouds_and_schedules(), block=st.sampled_from([1, 2, 5, QUERY_BLOCK]))
+def test_labels_down_match_a_brute_force_union_find_at_every_scale(case, block):
+    # small blocks split every scale's query, as a large cloud does
+    coords, schedule = case
+    with mock.patch.object(topology, "QUERY_BLOCK", block):
+        per_scale = _labels_down(Cloud(coords), schedule)
+    assert len(per_scale) == len(schedule)
+    for delta, labels in zip(schedule, per_scale):
+        assert _label_groups(labels) == _union_find_components(coords, delta)
+
+
+def test_a_cloud_with_no_giant_component_takes_the_blocked_query():
+    coords = np.random.default_rng(3).uniform(size=(QUERY_BLOCK + 100, 3))
+    schedule = (0.03, 0.02, 0.01)
+    per_scale = _labels_down(Cloud(coords), schedule)
+    # even the coarsest scale leaves more than a block outside its largest component
+    coarse = per_scale[0]
+    assert len(coords) - np.max(np.bincount(coarse)) > QUERY_BLOCK
+    for delta, labels in zip(schedule, per_scale):
+        assert _label_groups(labels) == _union_find_components(coords, delta)
+
+
 def test_components_of_an_empty_cloud():
     assert components(Cloud(np.zeros((0, 2))), 0.1) == []
 
@@ -118,7 +162,7 @@ def test_an_empty_list_is_a_cloud_of_no_points():
     with pytest.raises(EmptyInput):
         empty.min_origin_distance()
     with pytest.raises(EmptyInput):
-        hausdorff(empty, Cloud(np.zeros((1, 2))))
+        Cloud(np.zeros((0, 2))).min_origin_distance()
 
 
 def test_components_validate_inputs():
@@ -126,25 +170,6 @@ def test_components_validate_inputs():
         components(gap_cloud(), 0.0)
     with pytest.raises(InvalidParams):
         Cloud(np.array([[np.nan]]))
-
-
-# ---------------------------------------------------------------------------
-# hausdorff distance
-
-def test_hausdorff_known_values():
-    a = Cloud(np.array([[0.0, 0.0]]))
-    b = Cloud(np.array([[3.0, 4.0]]))
-    assert hausdorff(a, b) == 5.0
-    c = Cloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    d = Cloud(np.array([[0.0, 0.0]]))
-    assert hausdorff(c, d) == 1.0
-    assert hausdorff(d, c) == 1.0  # symmetric by definition
-    assert hausdorff(c, c) == 0.0
-
-
-def test_hausdorff_empty_input_raises():
-    with pytest.raises(EmptyInput):
-        hausdorff(Cloud(np.zeros((0, 2))), Cloud(np.zeros((1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +261,19 @@ def test_model_cloud_stabilizes_to_the_segment_points():
     assert np.max(np.abs(report.stable_cloud.coords[:, 1:])) == 0.0
     # the coarsest scale bridges to the off-axis branch points
     assert report.sizes[0] > report.sizes[-1]
+
+
+def test_model_cloud_stabilization_runs_in_bounded_memory():
+    # listing every pair at delta = 0.02 on this cloud takes about 500 MB
+    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords_array())
+    tracemalloc.start()
+    try:
+        report = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.stabilized
+    assert peak < 32e6
 
 
 def test_member_sets_are_nested_and_sizes_monotone():
