@@ -175,8 +175,9 @@ def _run_scan(ns, out: Path):
     report = accumulation_scan(model, z, (ns.window_lo, ns.window_hi),
                                ns.seeds, cfg, threads=ns.threads)
     report.to_csv(out / "scan.csv")
-    dists = [oracle.distance(e.coords) for e in report.entries]
-    worst = max(dists) if dists else 0.0
+    # one batched distance call; an empty scan has no rows to batch
+    worst = (float(np.max(oracle.distance([e.coords for e in report.entries])))
+             if report.entries else 0.0)
     results = report.to_json_dict()
     results["worst_oracle_distance"] = worst
     checks = {
@@ -395,6 +396,8 @@ def main(argv=None) -> int:
                          else f"{key} must be at least {low}")
     if ns.seed < 0:
         parser.error("seed must be non-negative")
+    if ns.experiment == "minimax" and ns.jmax > ns.n:
+        parser.error("jmax must not exceed n")
 
     out = Path(ns.out)
     try:

@@ -10,6 +10,10 @@ estimated from below (axis stencil + quasi-random sphere samples +
 multi-start projected ascent), so the bound is heuristic-tight: honest
 as an upper bound for c_j only insofar as the inner sup estimate reaches
 the true sup.  The report carries the budget for that reason.
+
+Each level evaluates its whole radius grid as one batched projected
+ascent (every radius's rows side by side), then refines the best grid
+radius with a bounded 1-d minimization, one sup per evaluated radius.
 """
 
 from __future__ import annotations
@@ -67,52 +71,72 @@ def _renorm(f, block, y, rho):
     return y * (rho / np.where(norms > 0, norms, 1.0))[:, None]
 
 
-def sphere_sup_witness(f: Functional, k: int, rho: float,
-                       budget: Budget | None = None):
+def sphere_sup_witness(f: Functional, k: int, rho, budget: Budget | None = None):
     """Lower estimate of sup I over the radius-rho sphere of the
-    k-coordinate block; returns (value, witness coords)."""
-    if rho <= 0:
+    k-coordinate block; returns (value, witness coords).
+
+    ``rho`` is a radius or a 1-d array of radii.  An array runs one
+    projected ascent over every radius's rows and returns one value and
+    one witness per radius; each is bit-for-bit its scalar call, since
+    every radius draws the same samples and every step works row by row.
+    """
+    radii = np.asarray(rho, dtype=float)
+    if radii.ndim > 1 or radii.size == 0:
+        raise InvalidParams("rho must be a radius or a non-empty 1-d array of radii")
+    if not np.all(np.isfinite(radii)):
+        raise InvalidParams("rho must be finite")
+    if np.any(radii <= 0):
         raise InvalidParams("rho must be positive")
     budget = budget or Budget()
     block = _block_indices(f, k)
     dim = f.space.dim
     rng = np.random.default_rng(budget.rng_seed)
+    r = np.atleast_1d(radii)
+    nr, idx = len(r), np.arange(len(r))
 
-    # axis stencil +- rho e_i, quasi-random sphere samples, ascent starts
+    # axis stencil +- rho e_i, quasi-random sphere samples, ascent starts;
+    # the same directions for every radius, one block of rows per radius
     stencil = np.concatenate([np.eye(k), -np.eye(k)], axis=0)
     samples = rng.standard_normal((_N_SAMPLES, k))
     starts = rng.standard_normal((_N_STARTS, k))
-    y0 = _renorm(f, block, np.concatenate([stencil, samples, starts], axis=0), rho)
+    dirs = np.concatenate([stencil, samples, starts], axis=0)
+    y0 = _renorm(f, block, np.tile(dirs, (nr, 1)), np.repeat(r, len(dirs)))
 
-    vals = np.atleast_1d(f.value_of(_embed(dim, block, y0)))
-    best_val = float(np.max(vals))
-    best_y = y0[int(np.argmax(vals))].copy()
+    vals = np.atleast_1d(f.value_of(_embed(dim, block, y0))).reshape(nr, -1)
+    y0 = y0.reshape(nr, len(dirs), k)
+    i = np.argmax(vals, axis=1)
+    best_val = vals[idx, i]
+    best_y = y0[idx, i]
 
     # projected ascent on the constraint ||embed(y)|| = rho
-    y = y0[len(stencil) + len(samples):].copy()
-    if len(y):
-        cur = np.atleast_1d(f.value_of(_embed(dim, block, y)))
-        alpha = np.full(len(y), 0.1 * rho)
-        for _ in range(_ASCENT_STEPS):
-            coords = _embed(dim, block, y)
-            partial = f.space.to_dual(f.grad_of(coords))[:, block]
-            q = f.space.to_dual(coords)[:, block]
-            qq = np.sum(q * q, axis=1)
-            coef = np.sum(partial * q, axis=1) / np.where(qq > 0, qq, 1.0)
-            tang = partial - coef[:, None] * q
-            trial = _renorm(f, block, y + alpha[:, None] * tang, rho)
-            t_val = np.atleast_1d(f.value_of(_embed(dim, block, trial)))
-            better = t_val > cur
-            y[better] = trial[better]
-            cur[better] = t_val[better]
-            alpha[better] *= 1.2
-            alpha[~better] *= 0.5
-        i = int(np.argmax(cur))
-        if cur[i] > best_val:
-            best_val = float(cur[i])
-            best_y = y[i].copy()
+    y = y0[:, -_N_STARTS:].reshape(-1, k).copy()
+    r_rows = np.repeat(r, _N_STARTS)
+    cur = np.atleast_1d(f.value_of(_embed(dim, block, y)))
+    alpha = 0.1 * r_rows
+    for _ in range(_ASCENT_STEPS):
+        coords = _embed(dim, block, y)
+        partial = f.space.to_dual(f.grad_of(coords))[:, block]
+        q = f.space.to_dual(coords)[:, block]
+        qq = np.sum(q * q, axis=1)
+        coef = np.sum(partial * q, axis=1) / np.where(qq > 0, qq, 1.0)
+        tang = partial - coef[:, None] * q
+        trial = _renorm(f, block, y + alpha[:, None] * tang, r_rows)
+        t_val = np.atleast_1d(f.value_of(_embed(dim, block, trial)))
+        better = t_val > cur
+        y[better] = trial[better]
+        cur[better] = t_val[better]
+        alpha[better] *= 1.2
+        alpha[~better] *= 0.5
+    i = np.argmax(cur.reshape(nr, _N_STARTS), axis=1)
+    top = cur.reshape(nr, _N_STARTS)[idx, i]
+    up = top > best_val
+    best_val[up] = top[up]
+    best_y[up] = y.reshape(nr, _N_STARTS, k)[idx, i][up]
 
-    return best_val, _embed(dim, block, best_y[None, :])[0]
+    witnesses = _embed(dim, block, best_y)
+    if radii.ndim == 0:
+        return float(best_val[0]), witnesses[0]
+    return best_val, witnesses
 
 
 def sphere_sup(f: Functional, k: int, rho: float, budget: Budget | None = None) -> float:
@@ -145,22 +169,26 @@ def cj_upper_bound(f: Functional, j: int, budget: Budget | None = None) -> Minim
     around the best grid radius."""
     budget = budget or Budget()
 
-    trace = []
-    witnesses = []
-    for rho in _RHO_GRID:
-        val, w = sphere_sup_witness(f, j, float(rho), budget)
-        trace.append((float(rho), val))
-        witnesses.append(w)
+    # the whole radius grid in one batched ascent
+    sups, grid_witnesses = sphere_sup_witness(f, j, _RHO_GRID, budget)
+    trace = [(float(r), float(s)) for r, s in zip(_RHO_GRID, sups)]
+    witnesses = list(grid_witnesses)
 
-    sups = np.array([s for _, s in trace])
     i = int(np.argmin(sups))
     lo = _RHO_GRID[i - 1] if i > 0 else _RHO_GRID[i] / 100.0
     hi = _RHO_GRID[i + 1] if i + 1 < len(_RHO_GRID) else _RHO_GRID[i] * 100.0
-    res = minimize_scalar(lambda r: sphere_sup(f, j, float(r), budget),
-                          bounds=(lo, hi), method="bounded",
+    # the bounded minimizer returns a radius it has evaluated, so its sup
+    # and witness are read back, not recomputed
+    seen = {}
+
+    def sup_at(r):
+        seen[float(r)] = sphere_sup_witness(f, j, float(r), budget)
+        return seen[float(r)][0]
+
+    res = minimize_scalar(sup_at, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     r_ref = float(res.x)
-    v_ref, w_ref = sphere_sup_witness(f, j, r_ref, budget)
+    v_ref, w_ref = seen[r_ref]
     trace.append((r_ref, v_ref))
     witnesses.append(w_ref)
 

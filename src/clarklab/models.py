@@ -241,6 +241,12 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     return EnumeratedCriticalSet(n=params.n, points=pts)
 
 
+# a distance batch is cut into row blocks whose (rows, branches, n+1)
+# difference tensor holds about _DIFF_BLOCK floats (256 KB), so its memory
+# does not grow with the number of rows
+_DIFF_BLOCK = 1 << 15
+
+
 class CriticalSetOracle:
     """Distance queries against the closed-form critical set."""
 
@@ -254,8 +260,11 @@ class CriticalSetOracle:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
         seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
-        diffs = coords[:, None, :] - self._branches[None, :, :]
-        branch = np.min(np.linalg.norm(diffs, axis=2), axis=1)
+        step = max(1, _DIFF_BLOCK // self._branches.size)
+        branch = np.concatenate([
+            np.min(np.linalg.norm(coords[s:s + step, None, :] - self._branches[None, :, :],
+                                  axis=2), axis=1)
+            for s in range(0, len(coords), step)])
         out = np.minimum(seg, branch)
         return out if out.shape[0] > 1 else float(out[0])
 

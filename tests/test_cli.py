@@ -102,8 +102,10 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("stabilize", "--clouds", "-1"), "clouds must be positive"),
     (("enumerate", "--z-samples", "1"), "z_samples must be at least 2"),
     (("deform", "--seed", "-1"), "seed must be non-negative"),
+    (("minimax", "--n", "2", "--jmax", "3"), "jmax must not exceed n"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
-        "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed"])
+        "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
+        "minimax-jmax"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
@@ -246,7 +248,8 @@ def test_domain_errors_exit_two_with_a_note(tmp_path):
     (("psdiag", "--n", "6"), None),
     (("enumerate", "--n", "2", "--z-samples", "11"), "points.csv"),
     (("stabilize", "--clouds", "5"), None),
-], ids=["scan", "deform", "psdiag", "enumerate", "stabilize"])
+    (("minimax", "--n", "4", "--jmax", "3"), "minimax.csv"),
+], ids=["scan", "deform", "psdiag", "enumerate", "stabilize", "minimax"])
 def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clarklab import minimax
 from clarklab.errors import (
     DimensionError,
     InvalidParams,
@@ -110,3 +113,61 @@ def test_block_and_radius_validation():
         sphere_sup(model, 0, 0.1)
     with pytest.raises(InvalidParams):
         sphere_sup(model, 1, 0.0)
+    for bad in (np.nan, np.inf, -np.inf, np.array([]), np.array([0.1, np.nan]),
+                np.array([0.1, -0.2]), np.array([[0.1]])):
+        with pytest.raises(InvalidParams):
+            sphere_sup_witness(model, 1, bad)
+
+
+# grid radii, radii between them and radii outside the grid's span
+_RADII = st.one_of(st.sampled_from(list(minimax._RHO_GRID)),
+                   st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), model_case=st.booleans())
+def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data, model_case):
+    if model_case:
+        n = data.draw(st.integers(1, 6), label="n")
+        f = clark_model(n=n)
+        k = data.draw(st.integers(1, n), label="k")
+    else:
+        f = wrapper_functional(H01Grid(10))
+        k = data.draw(st.integers(1, 10), label="k")
+    # random order, duplicates allowed
+    radii = np.array(data.draw(st.lists(_RADII, min_size=1, max_size=5), label="radii"))
+    budget = Budget(rng_seed=data.draw(st.integers(0, 3), label="seed"))
+    vals, witnesses = sphere_sup_witness(f, k, radii, budget)
+    assert vals.shape == (len(radii),)
+    assert witnesses.shape == (len(radii), f.space.dim)
+    for r, v, w in zip(radii, vals, witnesses):
+        v1, w1 = sphere_sup_witness(f, k, float(r), budget)
+        assert isinstance(v1, float)
+        assert np.float64(v1).tobytes() == v.tobytes()
+        assert w1.tobytes() == w.tobytes()
+
+
+def test_the_bound_makes_one_grid_call_then_one_call_per_minimizer_step(monkeypatch):
+    calls = []
+    real_sup, real_min = minimax.sphere_sup_witness, minimax.minimize_scalar
+
+    def counting_sup(f, k, rho, budget=None):
+        calls.append(np.asarray(rho).copy())
+        return real_sup(f, k, rho, budget)
+
+    def counting_min(*args, **kwargs):
+        res = real_min(*args, **kwargs)
+        calls.append(("minimizer done", res.nfev))
+        return res
+
+    monkeypatch.setattr(minimax, "sphere_sup_witness", counting_sup)
+    monkeypatch.setattr(minimax, "minimize_scalar", counting_min)
+    est = cj_upper_bound(clark_model(n=4), 2)
+    grid, *steps, done = calls
+    assert np.array_equal(grid, minimax._RHO_GRID)
+    assert done[0] == "minimizer done"
+    assert len(steps) == done[1] > 0
+    assert all(step.ndim == 0 for step in steps)
+    # the refined radius is one the minimizer evaluated, not a new call
+    assert est.sphere_sup_trace[-1][0] in [float(s) for s in steps]
+    assert len(est.sphere_sup_trace) == 25

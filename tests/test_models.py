@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from clarklab import models
 from clarklab.deformation import TwoClusterFunctional
 
 from clarklab.errors import InvalidParams
@@ -166,6 +167,21 @@ def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     # distance to the segment is computed exactly, not against samples
     assert oracle.distance(np.array([0.123, 0.2, 0.0, 0.0])) == pytest.approx(0.2)
     assert oracle.distance(np.array([1.5, 0.0, 0.0, 0.0])) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("block", [1, 1000, 1 << 15])
+def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
+    # the batch is cut into row blocks of the difference tensor (here one row,
+    # four rows with a ragged last block, or one block); every cut must give
+    # the single-row bytes
+    monkeypatch.setattr(models, "_DIFF_BLOCK", block)
+    model = clark_model(n=3)
+    oracle = CriticalSetOracle(model)
+    rows = np.random.default_rng(5).normal(scale=0.7, size=(37, 4))
+    batch = oracle.distance(rows)
+    assert batch.shape == (37,)
+    single = np.array([oracle.distance(r) for r in rows])
+    assert batch.tobytes() == single.tobytes()
 
 
 def test_classification_recognizes_all_families():
