@@ -1,7 +1,7 @@
 """Numerical laboratory for critical point theory of even, bounded-below
 functionals: model functionals with closed-form critical sets, descent
-and deformation flows, point-cloud topology with genus certificates,
-minimax upper bounds, and a shooting solver for the sublinear nodal
+and deformation flows, point-cloud topology, minimax upper bounds over
+coordinate spheres, and a shooting solver for the sublinear nodal
 family.  Everything runs on finite-dimensional truncations and is
 verified against hand-derived oracles."""
 
@@ -15,7 +15,6 @@ from .errors import (
     InvalidPoint,
     NoCrossing,
     NoNegativeCertificate,
-    NotInGenusFamily,
     OriginMissing,
     SetupInconsistent,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ModelParams",
     "NoCrossing",
     "NoNegativeCertificate",
-    "NotInGenusFamily",
     "OriginMissing",
     "PSReport",
     "Point",

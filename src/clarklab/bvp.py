@@ -35,29 +35,10 @@ def _check_p(p: float):
         raise InvalidParams(f"p must lie in (0,1), got {p}")
 
 
-def slope_scaling_exponent(p: float) -> float:
-    """Slope ratio of the rescaled solution: alpha*beta = beta^((p+1)/(p-1))."""
-    _check_p(p)
-    return (p + 1.0) / (p - 1.0)
-
-
-def time_scaling_exponent(p: float) -> float:
-    """First-zero times scale as T(s1)/T(s2) = (s1/s2)^((1-p)/(1+p));
-    larger slope means larger amplitude and, sublinearly, a longer arch."""
-    _check_p(p)
-    return (1.0 - p) / (1.0 + p)
-
-
 def energy_scaling_exponent(p: float) -> float:
     """||u_k||^2 = k^((2p+2)/(p-1)) ||u_1||^2."""
     _check_p(p)
     return (2.0 * p + 2.0) / (p - 1.0)
-
-
-def amplitude_scaling_exponent(p: float) -> float:
-    """max|u_k| = k^(2/(p-1)) max|u_1|."""
-    _check_p(p)
-    return 2.0 / (p - 1.0)
 
 
 @dataclass
@@ -198,15 +179,11 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     )
 
 
-def nodal_solution(p: float, k: int, grid: H01Grid | None = None) -> NodalSolution:
-    """k-nodal-domain solution by exact compression of the base arch."""
-    _check_p(p)
-    if k < 1:
-        raise InvalidParams("k must be >= 1")
-    return _assemble(p, k, base_profile(p), grid or H01Grid(2000))
-
-
 def nodal_family(p: float, kmax: int, grid: H01Grid | None = None) -> list:
+    """The k-nodal-domain solutions for k = 1..kmax, each by exact
+    compression of the base arch."""
+    if kmax < 1:
+        raise InvalidParams("kmax must be >= 1")
     grid = grid or H01Grid(2000)
     prof = base_profile(p)
     return [_assemble(p, k, prof, grid) for k in range(1, kmax + 1)]

@@ -79,7 +79,8 @@ SCHEMAS = {
 
 
 # every integer schema key is a count that must be at least 1, or at least
-# the value given here (the bvp slope fit needs two points)
+# the value given here (the bvp slope fit needs two points); every float
+# schema key must be finite
 _INT_MIN = {"z_samples": 2, "kmax": 2}
 
 
@@ -390,10 +391,13 @@ def main(argv=None) -> int:
         if getattr(ns, key) is None:
             setattr(ns, key, file_values.get(key, default))
     for key, (typ, _default, _help) in schema.items():
+        value = getattr(ns, key)
         low = _INT_MIN.get(key, 1)
-        if typ is int and getattr(ns, key) < low:
+        if typ is int and value < low:
             parser.error(f"{key} must be positive" if low == 1
                          else f"{key} must be at least {low}")
+        if typ is float and not np.isfinite(value):
+            parser.error(f"{key} must be finite")
     if ns.seed < 0:
         parser.error("seed must be non-negative")
     if ns.experiment == "minimax" and ns.jmax > ns.n:

@@ -15,7 +15,7 @@ safety factor, flagged as empirical; nothing here proves them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -243,14 +243,6 @@ def _field_batch(setup: DeformationSetup, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def pseudo_gradient(setup: DeformationSetup, u: Point) -> Point:
-    setup.f._check(u)
-    if float(setup.f.value_of(u.coords)) >= 0.0:
-        raise InvalidParams("field is defined on the negative-energy region")
-    v = _field_batch(setup, u.coords[None, :])[0]
-    return Point(v, setup.f.space)
-
-
 # ---------------------------------------------------------------------------
 # flow integration
 
@@ -259,18 +251,6 @@ class FlowTrace:
     times: np.ndarray
     points: np.ndarray      # (len(times), dim)
     energies: np.ndarray
-
-    def max_energy_uptick(self) -> float:
-        if len(self.energies) < 2:
-            return 0.0
-        return float(np.max(np.diff(self.energies)))
-
-    def max_speed_ratio(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        dt = np.diff(self.times)
-        dp = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return float(np.max(dp / dt))
 
 
 def _rk4_step(setup, u, h):
@@ -346,27 +326,10 @@ def _meets_contract(setup, rows, slack=1e-9):
     return (vals <= -setup.d + slack) | (dist < 3.0 * setup.r)
 
 
-def eta_epsilon(setup: DeformationSetup, u: Point) -> Point:
-    """Time-T deformation of a single point of [I <= -eps]; the output is
-    checked against the target inclusion and failures carry the trace."""
-    setup.f._check(u)
-    if float(setup.f.value_of(u.coords)) > -setup.eps:
-        raise InvalidParams("deformation input must satisfy I(u) <= -eps")
-    trace = flow(setup, u, setup.t_eps)
-    out = trace.points[-1]
-    if not _meets_contract(setup, out[None, :])[0]:
-        raise DeformationFailure(
-            f"deformation output has I = {float(setup.f.value_of(out)):.6f} > -d "
-            f"and sits {float(cdist(out[None, :], setup.k0e.coords).min()):.6f} "
-            f"from the exterior cluster (3r = {3 * setup.r:.6f}); the sampled "
-            "nu_eps was too optimistic",
-            trace=trace)
-    return Point(out, setup.f.space)
-
-
 def eta_epsilon_batch(setup: DeformationSetup, seeds: np.ndarray):
-    """Batched deformation; on contract violation the first offending
-    seed is re-run with a trace and raised."""
+    """Time-T deformation of every seed row of [I <= -eps], checked against
+    the target inclusion.  A violation raises for the first offending
+    seed, with that seed's single flow attached as the trace."""
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     vals = np.atleast_1d(setup.f.value_of(seeds))
     if np.any(vals > -setup.eps):
@@ -374,19 +337,12 @@ def eta_epsilon_batch(setup: DeformationSetup, seeds: np.ndarray):
     out, max_uptick, max_speed = flow_batch(setup, seeds, setup.t_eps)
     bad = np.flatnonzero(~_meets_contract(setup, out))
     if len(bad):
-        eta_epsilon(setup, Point(seeds[bad[0]], setup.f.space))  # raises with trace
-        raise DeformationFailure("contract violated in batch but not in re-run")
+        i = int(bad[0])
+        raise DeformationFailure(
+            f"deformation output of seed {i} {seeds[i].tolist()} has "
+            f"I = {float(setup.f.value_of(out[i])):.6f} > -d and sits "
+            f"{float(cdist(out[i:i + 1], setup.k0e.coords).min()):.6f} from the "
+            f"exterior cluster (3r = {3 * setup.r:.6f}); the sampled nu_eps "
+            "was too optimistic",
+            trace=flow(setup, Point(seeds[i], setup.f.space), setup.t_eps))
     return out, max_uptick, max_speed
-
-
-def eta_epsilon_with_retry(setup: DeformationSetup, u: Point, retries: int = 3):
-    """Halve the empirical nu_eps (doubling the flow time) after each
-    contract failure; returns (point, setup_used)."""
-    current = setup
-    for _ in range(retries + 1):
-        try:
-            return eta_epsilon(current, u), current
-        except DeformationFailure:
-            current = replace(current, nu_eps=current.nu_eps / 2.0)
-    raise DeformationFailure(
-        f"contract still failing after {retries} nu_eps halvings")

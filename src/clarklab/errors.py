@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Validation failures raise; expected negative outcomes of a computation
-(non-convergence of a flow, absence of a root) are returned as values
-instead, see solvers.NonConvergence and solvers.NoSolution.
+Validation failures and broken contracts raise.  An expected negative
+outcome of a computation is returned as a value instead: every row of
+solvers.gradient_flow_solve_batch reports why it stopped.
 """
 
 
@@ -28,10 +28,6 @@ class EmptyInput(ClarkLabError):
 
 class OriginMissing(ClarkLabError):
     """No point of the cloud lies at the origin (within tolerance)."""
-
-
-class NotInGenusFamily(ClarkLabError):
-    """The set description admits no genus certificate (e.g. contains 0)."""
 
 
 class SetupInconsistent(ClarkLabError):

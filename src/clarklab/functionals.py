@@ -25,8 +25,8 @@ C1_NOT_C2 = "C1_not_C2"
 class Functional:
     """Base class; subclasses implement value_of / grad_of on raw arrays.
 
-    Both accept batches of shape (..., dim).  evaluate / gradient are the
-    Point-typed wrappers with validation.
+    Both accept batches of shape (..., dim).  evaluate is the Point-typed
+    wrapper of value_of, with validation.
     """
 
     space: SpaceTag
@@ -56,10 +56,6 @@ class Functional:
         self._check(point)
         return float(self.value_of(point.coords))
 
-    def gradient(self, point: Point) -> Point:
-        self._check(point)
-        return Point(self.grad_of(point.coords), self.space)
-
     def residual(self, coords) -> float:
         """Norm of the gradient in the space norm (= dual norm of I')."""
         coords = check_coords(self.space, coords)
@@ -79,11 +75,6 @@ class RelErrorReport:
     max_rel_error: float
     per_coordinate: np.ndarray
     skipped: list = field(default_factory=list)  # (index, reason) pairs
-
-    @property
-    def checked_fraction(self):
-        n = len(self.per_coordinate)
-        return (n - len(self.skipped)) / n if n else 0.0
 
 
 _FD_STEP = 1e-6

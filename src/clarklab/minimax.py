@@ -1,7 +1,10 @@
-"""Upper bounds for the minimax values over genus-certified families.
+"""Upper bounds for the minimax values over families of genus j.
 
-The family for level j is a radius-rho sphere in a j-coordinate block
-(genus exactly j by the coordinate-sphere certificate), so for every rho
+The family for level j is a radius-rho sphere in a j-coordinate block.
+That sphere is symmetric, misses 0, and has genus exactly j: the identity
+is an odd map into R^j minus 0 (genus <= j), and by Borsuk-Ulam no odd
+continuous map takes S^(j-1) into R^(j-1) minus 0 (genus >= j).  So for
+every rho
 
     c_j <= sup over the sphere of I,
 
@@ -137,10 +140,6 @@ def sphere_sup_witness(f: Functional, k: int, rho, budget: Budget | None = None)
     if radii.ndim == 0:
         return float(best_val[0]), witnesses[0]
     return best_val, witnesses
-
-
-def sphere_sup(f: Functional, k: int, rho: float, budget: Budget | None = None) -> float:
-    return sphere_sup_witness(f, k, rho, budget)[0]
 
 
 @dataclass

@@ -168,7 +168,6 @@ class CriticalPoint:
     residual: float
     label: str
     sign_pattern: str | None = None
-    non_isolated: bool = False
 
     def to_json_dict(self):
         c = self.point.coords
@@ -256,7 +255,9 @@ class CriticalSetOracle:
 
     def distance(self, coords):
         """Min distance to the zero segment union the branch points; the
-        segment distance is exact (no sampling)."""
+        segment distance is exact (no sampling).  A 1-d point gives a float,
+        a (rows, n+1) batch an array of one distance per row."""
+        single = np.ndim(coords) == 1
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
         seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
@@ -266,7 +267,7 @@ class CriticalSetOracle:
                                   axis=2), axis=1)
             for s in range(0, len(coords), step)])
         out = np.minimum(seg, branch)
-        return out if out.shape[0] > 1 else float(out[0])
+        return float(out[0]) if single else out
 
 
 # how far from t = +-1 a terminal may sit and still be labelled N or -N

@@ -1,4 +1,4 @@
-"""Critical point solvers: descent flow, structured root solve, and the
+"""Critical point solvers: the batch descent flow, seed samplers and the
 accumulation scan.
 
 The flow integrates du/dtau = -grad I(u) with adaptive explicit Euler
@@ -29,15 +29,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .models import (
-    LABEL_OTHER,
-    ClarkModel,
-    CriticalPoint,
-    ModelParams,
-    _pattern_string,
-    classify_model_point,
-)
-from .spaces import Point
+from .models import ClarkModel, ModelParams, classify_model_point
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,8 @@ class SolveConfig:
     seed_rng: int = 0
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.max_flow_time <= 0:
+        # a NaN passes "<= 0" unnoticed, so the test is "not > 0"
+        if not (self.residual_tol > 0 and self.max_flow_time > 0):
             raise InvalidParams("residual_tol and max_flow_time must be positive")
 
 
@@ -73,35 +66,10 @@ _MIN_STEP = 1e-14   # a block step below this stalls the row
 _ENERGY_NOISE = 32.0 * np.finfo(float).eps
 
 
-@dataclass
-class NonConvergence:
-    """Terminal state of a flow that stopped before the residual tolerance;
-    carries the last iterate so that callers can still inspect it."""
-
-    point: Point
-    value: float
-    residual: float
-    flow_time: float
-    note: str = "time budget exhausted"
-
-
-@dataclass
-class NoSolution:
-    """Returned by structured_solve when no root verifies."""
-
-    pattern: str
-    note: str = "scalar equation has no verified root"
-
-
 # why a batch row stopped
 STOP_CONVERGED = "converged"
 STOP_BUDGET = "budget"      # flow time reached max_flow_time
 STOP_STALLED = "stalled"    # a step shrank below _MIN_STEP
-
-_STOP_NOTES = {
-    STOP_BUDGET: "time budget exhausted",
-    STOP_STALLED: "step collapsed below min_step",
-}
 
 
 @dataclass
@@ -205,118 +173,6 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             )
         )
     return results
-
-
-def gradient_flow_solve(f: Functional, seed: Point, cfg: SolveConfig | None = None,
-                        classifier=None):
-    """Descent flow from a single seed.
-
-    Returns a CriticalPoint on convergence (labelled through ``classifier``
-    when given, ``other`` otherwise) or a NonConvergence carrying the last
-    iterate, whose note says whether the time budget ran out or the step
-    collapsed.
-    """
-    cfg = cfg or SolveConfig()
-    f._check(seed)
-    row = gradient_flow_solve_batch(f, seed.coords[None, :], cfg)[0]
-    pt = Point(row.coords, f.space)
-    if not row.converged:
-        return NonConvergence(point=pt, value=row.value, residual=row.residual,
-                              flow_time=row.flow_time, note=_STOP_NOTES[row.stop])
-    if classifier is not None:
-        label, pattern = classifier(row.coords, cfg.residual_tol)
-    else:
-        label, pattern = LABEL_OTHER, None
-    return CriticalPoint(point=pt, value=row.value, residual=row.residual,
-                         label=label, sign_pattern=pattern)
-
-
-# ---------------------------------------------------------------------------
-# structured solve on the coordinate model
-
-# bisection width in t, and the residual a structured root must reach
-_BISECT_TOL = 1e-12
-_ROOT_TOL = 1e-10
-
-
-def structured_solve(model: ClarkModel, pattern):
-    """Critical point for a given sign pattern of the coordinate model.
-
-    The x-part follows the branch formulas as a function of t; what is left
-    is the scalar equation d/dt I(t, x(t)) = 0, solved by bisection on
-    [-2, 2].  The clamp penalty forces any root into [-1, 1], and for a
-    nonzero pattern the only roots are t = -1 and t = +1 (one transversal,
-    one tangential).  Both carry valid critical points; the one at t = +1
-    is returned as the family representative, its negation is the t = -1
-    twin.  The all-zero pattern is the stationary segment; its t = 0
-    representative is returned flagged non_isolated.
-    """
-    signs = tuple(int(s) for s in pattern)
-    if len(signs) != model.params.n or any(s not in (-1, 0, 1) for s in signs):
-        raise InvalidParams(f"pattern must be n={model.params.n} entries from {{-1,0,1}}")
-
-    if all(s == 0 for s in signs):
-        coords = np.zeros(model.params.n + 1)
-        return CriticalPoint(
-            point=Point(coords, model.space),
-            value=float(model.value_of(coords)),
-            residual=model.residual(coords),
-            label="Z",
-            sign_pattern="0" * model.params.n,
-            non_isolated=True,
-        )
-
-    sgn = np.array([signs])
-
-    def assemble(t):
-        return model.params.branch_coords(t, sgn)[0]
-
-    def g(t):
-        return float(model.grad_of(assemble(t))[0])
-
-    candidates = []
-    lo, hi = -2.0, 2.0
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        candidates.append(lo)
-    if ghi == 0.0:
-        candidates.append(hi)
-    if glo * ghi < 0.0:
-        a, b, ga = lo, hi, glo
-        while b - a > _BISECT_TOL:
-            mid = 0.5 * (a + b)
-            gm = g(mid)
-            if gm == 0.0:
-                a = b = mid
-                break
-            if ga * gm < 0.0:
-                b = mid
-            else:
-                a, ga = mid, gm
-        candidates.append(0.5 * (a + b))
-    # tangential roots at the clamp corners
-    for t in (1.0, -1.0):
-        if abs(g(t)) <= _ROOT_TOL:
-            candidates.append(t)
-
-    verified = []
-    for t in candidates:
-        coords = assemble(t)
-        r = model.residual(coords)
-        if r <= _ROOT_TOL:
-            verified.append((t, coords, r))
-    if not verified:
-        return NoSolution(pattern=_pattern_string(signs))
-
-    t, coords, r = max(verified, key=lambda v: v[0])
-    label, pat = classify_model_point(model, coords, residual_tol=_ROOT_TOL)
-    return CriticalPoint(
-        point=Point(coords, model.space),
-        value=float(model.value_of(coords)),
-        residual=r,
-        label=label,
-        sign_pattern=pat,
-    )
 
 
 # ---------------------------------------------------------------------------

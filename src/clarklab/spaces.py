@@ -155,10 +155,6 @@ class Point:
         _require_same_space(self, other)
         return float(self.space.inner(self.coords, other.coords))
 
-    def distance_to(self, other: "Point"):
-        _require_same_space(self, other)
-        return float(self.space.norm(self.coords - other.coords))
-
     def __neg__(self):
         return Point(-self.coords, self.space)
 

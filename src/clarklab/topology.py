@@ -12,9 +12,6 @@ All scales of a schedule come from one finest-first pass over one
 KD-tree.  A coarser scale only adds edges, and an edge inside one
 component changes nothing, so it queries only the points outside the
 largest component, block by block, and merges the labels they join.
-
-Genus values are certificate-based: only set families with a hand-proved
-construction get bounds, there is no general algorithm.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput, InvalidParams, NotInGenusFamily, OriginMissing
+from .errors import InvalidParams, OriginMissing
 
 SYMMETRY_TOL = 1e-12
 ORIGIN_TOL = 1e-12
@@ -71,11 +68,6 @@ class Cloud:
         norms = np.linalg.norm(self.coords, axis=1)
         i = int(np.argmin(norms))
         return i if norms[i] <= ORIGIN_TOL else None
-
-    def min_origin_distance(self) -> float:
-        if not len(self):
-            raise EmptyInput("empty cloud has no origin distance")
-        return float(np.min(np.linalg.norm(self.coords, axis=1)))
 
     def to_json_list(self):
         return [[float(v) for v in row] for row in self.coords]
@@ -185,109 +177,3 @@ def origin_component_stabilization(cloud: Cloud, delta_schedule) -> Stabilizatio
         stable_cloud=cloud.subset(np.array(member_sets[-1], dtype=int)),
         note=note,
     )
-
-
-# ---------------------------------------------------------------------------
-# genus certificates
-
-@dataclass(frozen=True)
-class GenusCertificate:
-    lower: int
-    upper: int
-    lower_witness: str
-    upper_witness: str
-
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise InvalidParams("certificate needs 1 <= lower <= upper")
-
-
-@dataclass(frozen=True)
-class CoordinateSphere:
-    """Radius-rho sphere in the span of the first k coordinates."""
-
-    k: int
-    rho: float
-
-
-@dataclass(frozen=True)
-class FinitePairCloud:
-    """Finite symmetric cloud not containing the origin."""
-
-    cloud: Cloud
-
-
-@dataclass(frozen=True)
-class UnionSpec:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class SymmetricNeighborhood:
-    """Closed radius-neighborhood of a finite symmetric cloud; certified
-    only while the radius stays below half the cloud's origin distance."""
-
-    inner: FinitePairCloud
-    radius: float
-
-
-def genus_certificate(spec) -> GenusCertificate:
-    if isinstance(spec, CoordinateSphere):
-        if spec.k < 1:
-            raise InvalidParams("sphere dimension count must be >= 1")
-        if spec.rho < 0:
-            raise InvalidParams("sphere radius must be nonnegative")
-        if spec.rho == 0:
-            raise NotInGenusFamily("radius-0 sphere is the origin itself")
-        return GenusCertificate(
-            lower=spec.k, upper=spec.k,
-            lower_witness=f"odd maps S^{spec.k - 1} -> R^m \\ {{0}} need m >= {spec.k} "
-                          "(Borsuk-Ulam)",
-            upper_witness=f"identity embedding into R^{spec.k} \\ {{0}}",
-        )
-
-    if isinstance(spec, FinitePairCloud):
-        c = spec.cloud
-        if len(c) == 0:
-            raise InvalidParams("empty cloud has no genus")
-        Cloud(c.coords, symmetric=True)  # revalidate symmetry
-        if c.origin_index() is not None:
-            raise NotInGenusFamily("cloud contains the origin")
-        return GenusCertificate(
-            lower=1, upper=1,
-            lower_witness="nonempty member of the symmetric origin-free family",
-            upper_witness="separating linear functional, odd into R \\ {0} "
-                          "(finite set, no point is its own negation)",
-        )
-
-    if isinstance(spec, UnionSpec):
-        ca = genus_certificate(spec.a)
-        cb = genus_certificate(spec.b)
-        return GenusCertificate(
-            lower=max(ca.lower, cb.lower),
-            upper=ca.upper + cb.upper,
-            lower_witness="monotonicity: each member embeds in the union",
-            upper_witness="subadditivity: concatenate the member upper-bound maps",
-        )
-
-    if isinstance(spec, SymmetricNeighborhood):
-        inner_cert = genus_certificate(spec.inner)
-        dist0 = spec.inner.cloud.min_origin_distance()
-        if spec.radius <= 0:
-            raise InvalidParams("neighborhood radius must be positive")
-        if spec.radius >= dist0:
-            raise NotInGenusFamily("neighborhood of this radius reaches the origin")
-        if spec.radius >= 0.5 * dist0:
-            raise NotInGenusFamily(
-                "radius not below half the origin distance; small-neighborhood "
-                "stability is only certified in that regime")
-        return GenusCertificate(
-            lower=inner_cert.lower, upper=inner_cert.upper,
-            lower_witness="cloud embeds in its neighborhood: " + inner_cert.lower_witness,
-            upper_witness="small-neighborhood stability (radius < half origin "
-                          "distance keeps the separating map nonvanishing): "
-                          + inner_cert.upper_witness,
-        )
-
-    raise InvalidParams(f"no certificate family for {type(spec).__name__}")

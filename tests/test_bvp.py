@@ -3,15 +3,11 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from clarklab.bvp import (
-    amplitude_scaling_exponent,
     base_profile,
     energy_scaling_exponent,
     nodal_family,
-    nodal_solution,
     reshoot_values,
     shoot,
-    slope_scaling_exponent,
-    time_scaling_exponent,
 )
 from clarklab.errors import InvalidParams, NoCrossing
 from clarklab.spaces import H01Grid
@@ -41,12 +37,14 @@ def test_unit_slope_crossing_time_matches_the_beta_integral():
 
 
 def test_crossing_time_scales_with_the_slope():
+    # T(s1)/T(s2) = (s1/s2)^((1-p)/(1+p)): larger slope means larger
+    # amplitude and, sublinearly, a longer arch
     p = 0.5
     t1 = exact_first_crossing(p)
     for slope in (0.1, 0.01):
         traj = shoot(p, slope, t_max=4.0)
         assert traj.crossing_times[0] == pytest.approx(
-            t1 * slope ** time_scaling_exponent(p), rel=1e-7)
+            t1 * slope ** ((1.0 - p) / (1.0 + p)), rel=1e-7)
 
 
 def test_shoot_reports_missing_crossings():
@@ -64,22 +62,14 @@ def test_trajectory_vanishes_at_the_reported_crossings():
 
 def test_scaling_exponent_formulas():
     for p in (0.25, 0.5, 0.75):
-        assert slope_scaling_exponent(p) == pytest.approx(-(1.0 + p) / (1.0 - p))
-        assert time_scaling_exponent(p) == pytest.approx((1.0 - p) / (1.0 + p))
         assert energy_scaling_exponent(p) == pytest.approx(-2.0 * (1.0 + p) / (1.0 - p))
-        assert amplitude_scaling_exponent(p) == pytest.approx(-2.0 / (1.0 - p))
-    assert slope_scaling_exponent(0.5) == -3.0
     assert energy_scaling_exponent(0.5) == -6.0
-    assert amplitude_scaling_exponent(0.5) == -4.0
 
 
 def test_exponents_reject_bad_p():
-    for fn in (slope_scaling_exponent, time_scaling_exponent,
-               energy_scaling_exponent, amplitude_scaling_exponent):
+    for p in (1.0, 0.0):
         with pytest.raises(InvalidParams):
-            fn(1.0)
-        with pytest.raises(InvalidParams):
-            fn(0.0)
+            energy_scaling_exponent(p)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +78,7 @@ def test_exponents_reject_bad_p():
 def test_base_solution_matches_all_closed_forms():
     p = 0.5
     grid = H01Grid(2000)
-    sol = nodal_solution(p, 1, grid)
+    sol = nodal_family(p, 1, grid)[0]
     t1 = exact_first_crossing(p)
     scale = 1.0 / t1  # compress one arc onto [0, 1]
 
@@ -116,8 +106,9 @@ def test_nodal_family_scales_and_alternates():
         assert sol.nehari_residual < 1e-6
         assert sol.j_value == pytest.approx(
             base.j_value * float(k) ** energy_scaling_exponent(p), rel=1e-5)
+        # max|u_k| = k^(2/(p-1)) max|u_1|
         assert sol.sup_norm == pytest.approx(
-            base.sup_norm * float(k) ** amplitude_scaling_exponent(p), rel=1e-5)
+            base.sup_norm * float(k) ** (2.0 / (p - 1.0)), rel=1e-5)
         # k nodal domains = k sign runs of the interior values
         interior = sol.values_full[1:-1]
         signs = np.sign(interior[np.abs(interior) > 1e-12])
@@ -130,14 +121,14 @@ def test_nodal_family_scales_and_alternates():
 def test_reshot_solution_matches_the_rescaled_one():
     grid = H01Grid(1000)
     re2 = reshoot_values(0.5, 2, grid)
-    sol2 = nodal_solution(0.5, 2, grid)
+    sol2 = nodal_family(0.5, 2, grid)[1]
     assert np.max(np.abs(re2 - sol2.grid_values.coords)) < 1e-5
 
 
 def test_nodal_solution_validates_inputs():
     with pytest.raises(InvalidParams):
-        nodal_solution(0.5, 0)
+        nodal_family(0.5, 0)
     with pytest.raises(InvalidParams):
-        nodal_solution(1.5, 2)
+        nodal_family(1.5, 2)
     with pytest.raises(InvalidParams):
         base_profile(0.0)

@@ -103,14 +103,31 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("enumerate", "--z-samples", "1"), "z_samples must be at least 2"),
     (("deform", "--seed", "-1"), "seed must be non-negative"),
     (("minimax", "--n", "2", "--jmax", "3"), "jmax must not exceed n"),
+    (("scan", "--max-flow-time", "nan"), "max_flow_time must be finite"),
+    (("scan", "--window-lo=-inf"), "window_lo must be finite"),
+    (("psdiag", "--tol", "inf"), "tol must be finite"),
+    (("bvp", "--p", "nan"), "p must be finite"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
-        "minimax-jmax"])
+        "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
+        "bvp-p-nan"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())   # no results.json, no manifest.json
+
+
+def test_a_non_finite_config_value_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("tol = nan\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("psdiag", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert "tol must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])

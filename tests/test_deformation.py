@@ -6,19 +6,19 @@ from scipy.spatial.distance import cdist
 
 from clarklab import cli, deformation
 from clarklab.deformation import (
+    DeformationSetup,
+    FlowTrace,
     SampleSpec,
     TwoClusterFunctional,
+    _field_batch,
     estimate_bounds,
-    eta_epsilon,
     eta_epsilon_batch,
-    eta_epsilon_with_retry,
     flow,
     flow_batch,
     make_setup,
-    pseudo_gradient,
     two_cluster_setup_clouds,
 )
-from clarklab.errors import InvalidParams
+from clarklab.errors import DeformationFailure, InvalidParams
 from clarklab.spaces import Point
 from clarklab.topology import Cloud
 
@@ -114,28 +114,25 @@ def test_pseudo_gradient_is_odd_unit_capped_and_cut_off():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(1)
     seeds = in_band_seeds(f, setup.eps, 40, rng)
-    for u in seeds:
-        v = pseudo_gradient(setup, Point(u, f.space)).coords
-        w = pseudo_gradient(setup, Point(-u, f.space)).coords
-        assert np.array_equal(v, -w)
-        assert np.linalg.norm(v) <= 1.0 + 1e-12
+    v = _field_batch(setup, seeds)
+    assert np.array_equal(v, -_field_batch(setup, -seeds))
+    assert np.all(np.linalg.norm(v, axis=1) <= 1.0 + 1e-12)
     # the field vanishes deep below the band and next to the exterior cluster
-    deep = np.array([0.55, 0.0])  # value ~ -0.25 < -2d
-    assert float(f.value_of(deep)) < -2.0 * setup.d
-    assert np.array_equal(pseudo_gradient(setup, Point(deep, f.space)).coords,
-                          np.zeros(2))
-    with pytest.raises(InvalidParams):
-        pseudo_gradient(setup, Point(np.array([2.0, 0.0]), f.space))  # I >= 0
+    deep = np.array([[0.55, 0.0]])  # value ~ -0.25 < -2d
+    assert float(f.value_of(deep[0])) < -2.0 * setup.d
+    near = 0.95 * k0e.coords[:1]    # 0.05 < r from the unit circle
+    assert np.array_equal(_field_batch(setup, np.concatenate([deep, near])),
+                          np.zeros((2, 2)))
 
 
 def test_field_descends_where_active():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(2)
-    for u in in_band_seeds(f, setup.eps, 30, rng):
-        v = pseudo_gradient(setup, Point(u, f.space)).coords
-        if np.linalg.norm(v) > 0:
-            g = f.grad_of(u)
-            assert float(g @ v) > 0.0  # moving along -v decreases I
+    seeds = in_band_seeds(f, setup.eps, 30, rng)
+    v = _field_batch(setup, seeds)
+    active = np.linalg.norm(v, axis=1) > 0
+    # moving along -v decreases I
+    assert np.all(np.sum(f.grad_of(seeds[active]) * v[active], axis=1) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +145,9 @@ def test_flow_trace_is_monotone_and_speed_bounded():
     trace = flow(setup, u, setup.t_eps)
     assert trace.times[0] == 0.0
     assert trace.times[-1] == pytest.approx(setup.t_eps, abs=1e-12)
-    assert trace.max_energy_uptick() <= 1e-12
-    assert trace.max_speed_ratio() <= 1.0 + 1e-8
+    assert np.max(np.diff(trace.energies)) <= 1e-12
+    speed = np.linalg.norm(np.diff(trace.points, axis=0), axis=1) / np.diff(trace.times)
+    assert np.max(speed) <= 1.0 + 1e-8
     assert trace.energies[-1] <= trace.energies[0]
 
 
@@ -202,10 +200,10 @@ def test_deformation_is_odd_on_paired_seeds():
     ang = np.linspace(0.0, np.pi, 7)[:-1]
     ring = 0.35 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     assert np.all(np.asarray(f.value_of(ring)) <= -setup.eps)
-    for u in ring:
-        a = eta_epsilon(setup, Point(u, f.space)).coords
-        b = eta_epsilon(setup, Point(-u, f.space)).coords
-        assert np.max(np.abs(a + b)) <= 1e-10
+    # the ring and its mirror image as two separate batches
+    a, _, _ = eta_epsilon_batch(setup, ring)
+    b, _, _ = eta_epsilon_batch(setup, -ring)
+    assert np.max(np.abs(a + b)) <= 1e-10
 
 
 def test_batched_eta_is_exactly_odd_on_stacked_pairs():
@@ -245,14 +243,34 @@ def test_deformation_rejects_seeds_above_the_band():
     high = np.array([0.96, 0.0])   # close to the unit circle, I barely negative
     assert -setup.eps < float(f.value_of(high)) < 0.0
     with pytest.raises(InvalidParams):
-        eta_epsilon(setup, Point(high, f.space))
+        eta_epsilon_batch(setup, high)
     with pytest.raises(InvalidParams):
         eta_epsilon_batch(setup, np.stack([high, -high]))
 
 
-def test_retry_returns_point_and_setup():
+def test_a_contract_violation_raises_with_the_offending_seeds_trace(monkeypatch):
     f, k0i, k0e, delta0, setup = build_setup()
-    u = Point(np.array([0.0, 0.4]), f.space)
-    pt, used = eta_epsilon_with_retry(setup, u)
-    assert used is setup  # no retry needed on a healthy setup
-    assert np.array_equal(pt.coords, eta_epsilon(setup, u).coords)
+    # random band seeds sit mostly below -d already; a small ring around the
+    # origin starts just under -eps and needs the whole flow time to reach -d
+    ang = np.linspace(0.0, np.pi, 5)[:-1]
+    ring = 0.09 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    assert np.all(np.asarray(f.value_of(ring)) > -setup.d)
+    seeds = np.concatenate([in_band_seeds(f, setup.eps, 10, np.random.default_rng(4)), ring])
+    eta_epsilon_batch(setup, seeds)   # the whole flow time meets the contract
+    # a tenth of it leaves the ring short of the target
+    real = DeformationSetup.t_eps
+    monkeypatch.setattr(DeformationSetup, "t_eps", property(lambda s: 0.1 * real.fget(s)))
+    out, _, _ = flow_batch(setup, seeds, setup.t_eps)
+    missed = np.flatnonzero((np.asarray(f.value_of(out)) > -setup.d + 1e-9)
+                            & (cdist(out, k0e.coords).min(axis=1) >= 3.0 * setup.r))
+    assert len(missed) > 0
+    i = int(missed[0])
+    assert i == 10
+    with pytest.raises(DeformationFailure) as info:
+        eta_epsilon_batch(setup, seeds)
+    assert f"seed {i} " in str(info.value)
+    assert f"I = {float(f.value_of(out[i])):.6f}" in str(info.value)
+    trace = info.value.trace
+    assert isinstance(trace, FlowTrace)
+    assert np.array_equal(trace.points[0], seeds[i])
+    assert trace.times[-1] == pytest.approx(setup.t_eps, abs=1e-12)

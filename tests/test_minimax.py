@@ -12,7 +12,6 @@ from clarklab.errors import (
 from clarklab.minimax import (
     Budget,
     cj_upper_bound,
-    sphere_sup,
     sphere_sup_witness,
 )
 from clarklab.models import clark_model, wrapper_functional
@@ -34,7 +33,7 @@ def test_sphere_sup_matches_the_closed_form():
     model = clark_model(n=6)
     for k in (1, 2, 4):
         for rho in (0.4, 0.04):
-            got = sphere_sup(model, k, rho)
+            got = sphere_sup_witness(model, k, rho)[0]
             assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
 
 
@@ -90,7 +89,7 @@ def test_wrapper_shell_sup_feels_the_grid_concentration_effect():
     # must find that concentrated direction.
     grid = H01Grid(10)
     w = wrapper_functional(grid)
-    assert sphere_sup(w, grid.dim, 1.02) > 0.0
+    assert sphere_sup_witness(w, grid.dim, 1.02)[0] > 0.0
 
     x = np.linspace(0.0, 1.0, grid.dim + 2)[1:-1]
     smooth = np.sin(np.pi * x)
@@ -108,11 +107,11 @@ def test_nonnegative_region_yields_no_certificate():
 def test_block_and_radius_validation():
     model = clark_model(n=3)
     with pytest.raises(DimensionError):
-        sphere_sup(model, 4, 0.1)
+        sphere_sup_witness(model, 4, 0.1)
     with pytest.raises(InvalidParams):
-        sphere_sup(model, 0, 0.1)
+        sphere_sup_witness(model, 0, 0.1)
     with pytest.raises(InvalidParams):
-        sphere_sup(model, 1, 0.0)
+        sphere_sup_witness(model, 1, 0.0)
     for bad in (np.nan, np.inf, -np.inf, np.array([]), np.array([0.1, np.nan]),
                 np.array([0.1, -0.2]), np.array([[0.1]])):
         with pytest.raises(InvalidParams):

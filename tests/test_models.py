@@ -157,6 +157,24 @@ def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
         assert before.sign_pattern == "0" * n
 
 
+def test_enumerated_branch_values_are_additive_across_mixed_signs():
+    # at t = 1 a positive coordinate j adds -13.5 * 3^(-4j) to the value and
+    # a negative one -(1/6) * 3^(-4j), whatever the other coordinates hold
+    model = clark_model(n=3)
+    at_one = {p.sign_pattern: p for p in enumerate_critical_set(model, z_samples=11).points
+              if p.label == "N"}
+    for pattern, expect, tol in (
+            ("+00", -1.0 / 6.0, 1e-12),
+            ("0-0", -(1.0 / 6.0) * 3.0 ** -8, 1e-15),
+            ("-0+", -(1.0 / 6.0) * 3.0 ** -4 - 13.5 * 3.0 ** -12, 1e-14),
+            ("+++", -13.5 * (3.0 ** -4 + 3.0 ** -8 + 3.0 ** -12), 1e-13)):
+        p = at_one[pattern]
+        assert p.value == pytest.approx(expect, abs=tol)
+        assert p.point.coords[0] == 1.0
+        assert p.residual <= 1e-12
+        assert classify_model_point(model, p.point.coords) == ("N", pattern)
+
+
 def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
@@ -182,6 +200,11 @@ def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
     assert batch.shape == (37,)
     single = np.array([oracle.distance(r) for r in rows])
     assert batch.tobytes() == single.tobytes()
+    # the return type follows the input's shape: a one-row batch is a batch
+    one = oracle.distance(rows[:1])
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one.tobytes() == single[:1].tobytes()
+    assert all(isinstance(oracle.distance(r), float) for r in rows[:3])
 
 
 def test_classification_recognizes_all_families():

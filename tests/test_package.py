@@ -1,0 +1,65 @@
+"""Rules over the package source as a whole."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "clarklab"
+# the code that runs the package other than its unit tests
+CALLERS = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
+def _uses(node, skip=()):
+    """Identifiers that a node names, as variables or attributes, not
+    descending into the nodes in ``skip``."""
+    out, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        stack.extend(c for c in ast.iter_child_nodes(n) if c not in skip)
+    return out
+
+
+def _definitions(tree):
+    """(label, name, identifiers it names) for every top-level function and
+    class and every method; a class's own uses leave its methods out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _uses(node)
+        elif isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            yield node.name, node.name, _uses(node, skip=methods)
+            for m in methods:
+                yield f"{node.name}.{m.name}", m.name, _uses(m)
+
+
+def test_every_public_name_is_reached_outside_unit_tests():
+    # a definition is reached when code that runs names it: module-level
+    # code, the callers above, a dunder method, or a reached definition
+    named = set()
+    for path in CALLERS:
+        named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        named |= _uses(tree, skip=tops)
+        defs += [(f"{path.stem}.{label}", name, uses)
+                 for label, name, uses in _definitions(tree)]
+
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, uses in defs:
+            if label not in reached and (name in named or name.startswith("__")):
+                reached.add(label)
+                named |= uses
+                grew = True
+    unreached = [label for label, name, _ in defs
+                 if not name.startswith("_") and label not in reached]
+    assert not unreached, "named only by unit tests: " + ", ".join(unreached)

@@ -22,48 +22,34 @@ from clarklab.solvers import (
     _MIN_STEP,
     _SHRINK,
     _STEP_CAP,
-    NonConvergence,
-    NoSolution,
     SolveConfig,
     accumulation_scan,
     ball_seed_sampler,
-    gradient_flow_solve,
     gradient_flow_solve_batch,
     model_seed_sampler,
-    structured_solve,
 )
-from clarklab.spaces import H01Grid, L2Truncation, Point
+from clarklab.spaces import H01Grid, L2Truncation
 
 
 def test_flow_converges_to_the_nearest_branch_point():
     model = clark_model(n=3)
-    seed = Point(np.array([0.9, 1.2, 0.0, 0.0]), model.space)
-    cp = gradient_flow_solve(model, seed,
-                             classifier=lambda c, tol: classify_model_point(model, c, tol))
-    assert cp.residual <= 1e-8
-    assert cp.label == "N" and cp.sign_pattern == "+00"
-    assert cp.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
-    assert np.linalg.norm(cp.point.coords - np.array([1.0, 1.0, 0.0, 0.0])) < 1e-6
-
-
-def test_flow_without_classifier_labels_other():
-    model = clark_model(n=2)
-    cp = gradient_flow_solve(model, Point(np.array([0.5, 0.2, 0.0]), model.space))
-    assert cp.label == "other"
-    assert cp.sign_pattern is None
+    seed = np.array([0.9, 1.2, 0.0, 0.0])
+    row = gradient_flow_solve_batch(model, seed, SolveConfig())[0]
+    assert row.stop == "converged"
+    assert row.residual <= 1e-8
+    assert classify_model_point(model, row.coords, 1e-8) == ("N", "+00")
+    assert row.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
+    assert np.linalg.norm(row.coords - np.array([1.0, 1.0, 0.0, 0.0])) < 1e-6
 
 
 def test_flow_returns_nonconvergence_when_budget_runs_out():
     model = clark_model(n=2)
     cfg = SolveConfig(max_flow_time=0.5)
-    out = gradient_flow_solve(model, Point(np.array([0.5, 0.2, 0.1]), model.space), cfg)
-    assert isinstance(out, NonConvergence)
-    assert out.note == "time budget exhausted"
-    assert out.flow_time >= 0.5
-    assert out.residual > 1e-8
-    assert np.all(np.isfinite(out.point.coords))
-    row = gradient_flow_solve_batch(model, out.point.coords, cfg)[0]
-    assert row.stop == "budget" and not row.converged
+    row = gradient_flow_solve_batch(model, np.array([0.5, 0.2, 0.1]), cfg)[0]
+    assert row.stop == "budget"
+    assert row.flow_time >= 0.5
+    assert row.residual > 1e-8
+    assert np.all(np.isfinite(row.coords))
 
 
 class _Uphill(Functional):
@@ -82,14 +68,10 @@ def test_flow_reports_a_collapsed_step_as_stalled():
     # every proposal raises the energy, so every step is rejected and the
     # step halves from _INITIAL_STEP until it falls below _MIN_STEP
     f = _Uphill()
-    seed = Point(np.array([0.5, 0.2]), f.space)
-    out = gradient_flow_solve(f, seed)
-    assert isinstance(out, NonConvergence)
-    assert out.note == "step collapsed below min_step"
-    assert out.flow_time == 0.0
-    row = gradient_flow_solve_batch(f, seed.coords, SolveConfig())[0]
-    assert row.stop == "stalled" and not row.converged
+    row = gradient_flow_solve_batch(f, np.array([0.5, 0.2]), SolveConfig())[0]
+    assert row.stop == "stalled"
     assert row.flow_time == 0.0
+    assert np.array_equal(row.coords, np.array([0.5, 0.2]))
     assert _INITIAL_STEP * _SHRINK ** row.steps < _MIN_STEP
     assert _INITIAL_STEP * _SHRINK ** (row.steps - 1) >= _MIN_STEP
 
@@ -245,53 +227,11 @@ def test_longer_budgets_extend_the_same_monotone_flow(name):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(InvalidParams):
-        SolveConfig(residual_tol=0.0)
-    with pytest.raises(InvalidParams):
-        SolveConfig(max_flow_time=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# structured solve
-
-def test_structured_solve_reproduces_additive_branch_values():
-    model = clark_model(n=3)
-
-    cp = structured_solve(model, (1, 0, 0))
-    assert cp.value == pytest.approx(-1.0 / 6.0, abs=1e-12)
-    assert cp.residual <= 1e-10
-    assert cp.label == "N" and cp.sign_pattern == "+00"
-    assert cp.point.coords[0] == pytest.approx(1.0, abs=1e-12)
-
-    cp = structured_solve(model, (0, -1, 0))
-    assert cp.value == pytest.approx(-(1.0 / 6.0) * 3.0 ** -8, abs=1e-15)
-    assert cp.sign_pattern == "0-0"
-
-    cp = structured_solve(model, (-1, 0, 1))
-    expect = -(1.0 / 6.0) * 3.0 ** -4 - 13.5 * 3.0 ** -12
-    assert cp.value == pytest.approx(expect, abs=1e-14)
-
-    cp = structured_solve(model, (1, 1, 1))
-    expect = -13.5 * (3.0 ** -4 + 3.0 ** -8 + 3.0 ** -12)
-    assert cp.value == pytest.approx(expect, abs=1e-13)
-
-
-def test_structured_solve_all_zero_pattern_is_the_segment():
-    model = clark_model(n=3)
-    cp = structured_solve(model, (0, 0, 0))
-    assert cp.label == "Z"
-    assert cp.non_isolated
-    assert cp.value == 0.0
-    assert np.array_equal(cp.point.coords, np.zeros(4))
-
-
-def test_structured_solve_rejects_malformed_patterns():
-    model = clark_model(n=3)
-    with pytest.raises(InvalidParams):
-        structured_solve(model, (1, 0))
-    with pytest.raises(InvalidParams):
-        structured_solve(model, (1, 2, 0))
-    assert isinstance(NoSolution(pattern="+00"), NoSolution)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidParams):
+            SolveConfig(residual_tol=bad)
+        with pytest.raises(InvalidParams):
+            SolveConfig(max_flow_time=bad)
 
 
 # ---------------------------------------------------------------------------

