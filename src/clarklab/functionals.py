@@ -25,8 +25,12 @@ C1_NOT_C2 = "C1_not_C2"
 class Functional:
     """Base class; subclasses implement value_of / grad_of on raw arrays.
 
-    Both accept batches of shape (..., dim).  evaluate is the Point-typed
-    wrapper of value_of, with validation.
+    Both accept batches of shape (..., dim).  value_and_grad returns the
+    pair in one call; the descent solver makes exactly one such call per
+    iteration, so a subclass whose value and gradient share work (norms,
+    profile terms, powers) overrides it to compute that work once.  Its
+    result must equal (value_of, grad_of) bit for bit.  evaluate is the
+    Point-typed wrapper of value_of, with validation.
     """
 
     space: SpaceTag
@@ -38,6 +42,9 @@ class Functional:
 
     def grad_of(self, coords):
         raise NotImplementedError
+
+    def value_and_grad(self, coords):
+        return self.value_of(coords), self.grad_of(coords)
 
     def kink_gaps(self, coords):
         """Per-coordinate distance to the nearest loss of second-order

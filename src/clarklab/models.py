@@ -115,30 +115,38 @@ class ClarkModel(Functional):
         self._w = params.weights
 
     def value_of(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        t, x = coords[..., 0], coords[..., 1:]
-        mu, _ = mu_parts(t)
-        phi, _ = phi_parts(t)
-        xp = np.maximum(x, 0.0)
-        xn = np.maximum(-x, 0.0)
-        sp = np.sum(self._w * xp ** 1.5, axis=-1)
-        sn = np.sum(self._w * xn ** 1.5, axis=-1)
-        quad = 0.5 * np.sum(x * x, axis=-1)
-        return quad - (2.0 / 3.0) * ((2.0 + mu) * sp + (2.0 - mu) * sn) + phi
+        return self._evaluate(coords, value=True, grad=False)[0]
 
     def grad_of(self, coords):
+        return self._evaluate(coords, value=False, grad=True)[1]
+
+    def value_and_grad(self, coords):
+        return self._evaluate(coords, value=True, grad=True)
+
+    def _evaluate(self, coords, value, grad):
+        """(value, gradient), each None unless asked for; the profile
+        terms and the 3/2 powers are computed once for both."""
         coords = np.asarray(coords, dtype=float)
         t, x = coords[..., 0], coords[..., 1:]
         mu, dmu = mu_parts(t)
-        _, dphi = phi_parts(t)
+        phi, dphi = phi_parts(t)
         xp = np.maximum(x, 0.0)
         xn = np.maximum(-x, 0.0)
-        g = np.empty_like(coords)
-        g[..., 1:] = x - self._w * (
-            (2.0 + mu)[..., None] * np.sqrt(xp) - (2.0 - mu)[..., None] * np.sqrt(xn)
-        )
-        g[..., 0] = -(2.0 / 3.0) * dmu * np.sum(self._w * (xp ** 1.5 - xn ** 1.5), axis=-1) + dphi
-        return g
+        xp15 = xp ** 1.5
+        xn15 = xn ** 1.5
+        v = g = None
+        if value:
+            sp = np.sum(self._w * xp15, axis=-1)
+            sn = np.sum(self._w * xn15, axis=-1)
+            quad = 0.5 * np.sum(x * x, axis=-1)
+            v = quad - (2.0 / 3.0) * ((2.0 + mu) * sp + (2.0 - mu) * sn) + phi
+        if grad:
+            g = np.empty_like(coords)
+            g[..., 1:] = x - self._w * (
+                (2.0 + mu)[..., None] * np.sqrt(xp) - (2.0 - mu)[..., None] * np.sqrt(xn)
+            )
+            g[..., 0] = -(2.0 / 3.0) * dmu * np.sum(self._w * (xp15 - xn15), axis=-1) + dphi
+        return v, g
 
     def step_blocks(self):
         # t drifts on gradients near 3e-5 while the x-modes are stiff
@@ -423,28 +431,39 @@ class WrapperFunctional(Functional):
         self.p = p
 
     def value_of(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        s = np.square(self.space.norm(coords))
-        inside = 1.0 - np.cos(2.0 * np.pi * s)
-        w = (s - 1.0)[..., None] * coords if coords.ndim > 1 else (s - 1.0) * coords
-        outside = self.inner_energy.value_of(w)
-        return np.where(s <= 1.0, inside, outside)
+        return self._evaluate(coords, value=True, grad=False)[0]
 
     def grad_of(self, coords):
+        return self._evaluate(coords, value=False, grad=True)[1]
+
+    def value_and_grad(self, coords):
+        return self._evaluate(coords, value=True, grad=True)
+
+    def _evaluate(self, coords, value, grad):
+        """(value, gradient), each None unless asked for.  s = ||u||^2 and
+        w = (s - 1) u are computed once, and the sublinear energy runs only
+        on the rows outside the unit ball."""
         coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
         u = np.atleast_2d(coords)
         s = np.square(self.space.norm(u))
-        g = 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
-        mask = s > 1.0
-        if np.any(mask):
-            uo = u[mask]
-            so = s[mask]
-            w = (so - 1.0)[:, None] * uo
-            gj = self.inner_energy.grad_of(w)
-            cross = self.space.inner(gj, uo)
-            g[mask] = (so - 1.0)[:, None] * gj + 2.0 * cross[:, None] * uo
-        return g[0] if single else g
+        out = np.flatnonzero(s > 1.0)
+        uo, so = u[out], s[out]
+        w = (so - 1.0)[:, None] * uo
+        v = g = None
+        if value:
+            v = 1.0 - np.cos(2.0 * np.pi * s)
+            if out.size:
+                v[out] = self.inner_energy.value_of(w)
+        if grad:
+            g = 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
+            if out.size:
+                gj = self.inner_energy.grad_of(w)
+                cross = self.space.inner(gj, uo)
+                g[out] = (so - 1.0)[:, None] * gj + 2.0 * cross[:, None] * uo
+        if coords.ndim == 1:
+            v = None if v is None else v[0]
+            g = None if g is None else g[0]
+        return v, g
 
     def kink_gaps(self, coords):
         coords = np.asarray(coords, dtype=float)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import DimensionError, InvalidPoint
+from .errors import DimensionError, InvalidParams, InvalidPoint
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,10 @@ class H01Grid:
 
     nodes: int
 
+    def __post_init__(self):
+        if self.nodes < 1:
+            raise InvalidParams(f"an H01 grid needs at least one node, got {self.nodes}")
+
     @property
     def mesh_width(self):
         return 1.0 / (self.nodes + 1)
@@ -76,16 +80,30 @@ class H01Grid:
         ab[1, :] = 2.0 / h
         return cholesky_banded(ab, lower=False)
 
+    @staticmethod
+    def _cell_differences(u):
+        """The nodes+1 cell differences of u extended by zero boundaries.
+
+        The entries, operations and contiguous layout are those of
+        np.diff(u, prepend=0.0, append=0.0), so every sum over them has the
+        same bits, without that call's concatenation.  The last entry is
+        0.0 - u[-1], not -u[-1], which differs in the sign of a zero.
+        """
+        u = np.asarray(u, dtype=float)
+        du = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+        du[..., 0] = u[..., 0]
+        np.subtract(u[..., 1:], u[..., :-1], out=du[..., 1:-1])
+        du[..., -1] = 0.0 - u[..., -1]
+        return du
+
     def inner(self, u, v):
-        h = self.mesh_width
-        du = np.diff(np.asarray(u), axis=-1, prepend=0.0, append=0.0)
-        dv = np.diff(np.asarray(v), axis=-1, prepend=0.0, append=0.0)
-        return np.sum(du * dv, axis=-1) / h
+        du = self._cell_differences(u)
+        dv = self._cell_differences(v)
+        return np.sum(du * dv, axis=-1) / self.mesh_width
 
     def norm(self, u):
-        h = self.mesh_width
-        du = np.diff(np.asarray(u), axis=-1, prepend=0.0, append=0.0)
-        return np.sqrt(np.sum(du * du, axis=-1) / h)
+        du = self._cell_differences(u)
+        return np.sqrt(np.sum(du * du, axis=-1) / self.mesh_width)
 
     def stiffness_apply(self, u):
         """A u with A = (1/h) tridiag(-1, 2, -1); the map from Riesz

@@ -361,3 +361,39 @@ def test_a_single_row_evaluates_bit_for_bit_as_its_batch_row(name, data):
     for row, value, grad in zip(u, values, grads):
         assert np.asarray(f.value_of(row)).tobytes() == value.tobytes()
         assert f.grad_of(row).tobytes() == grad.tobytes()
+
+
+# squared space norms of the rows drawn inside and outside the unit sphere,
+# which is the wrapper's seam; the model's clamps |t| = 1 fall in both
+SEAM_SIDES = {"inside": (0.0, 0.95), "outside": (1.05, 3.0)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(EVEN_FUNCTIONALS)),
+       sides=st.sampled_from(["mixed", "inside", "outside"]), data=st.data())
+def test_value_and_grad_equals_value_of_and_grad_of_bit_for_bit(name, sides, data):
+    f = EVEN_FUNCTIONALS[name]
+    dim = f.space.dim
+    m = data.draw(st.integers(2, 6))
+    dirs = data.draw(hnp.arrays(np.float64, (m, dim),
+                                elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    dirs[f.space.norm(dirs) < 1e-3] = 1.0
+    # a mixed batch has row 0 inside and row 1 outside, the rest either way
+    side = ([sides] * m if sides != "mixed" else
+            ["inside", "outside"] + data.draw(st.lists(st.sampled_from(sorted(SEAM_SIDES)),
+                                                       min_size=m - 2, max_size=m - 2)))
+    s = np.array([data.draw(st.floats(*SEAM_SIDES[k])) for k in side])
+    u = dirs * (np.sqrt(s) / f.space.norm(dirs))[:, None]
+    assert list(np.square(f.space.norm(u)) > 1.0) == [k == "outside" for k in side]
+
+    value, grad = f.value_and_grad(u)
+    assert value.shape == (m,) and grad.shape == (m, dim)
+    assert value.tobytes() == np.asarray(f.value_of(u)).tobytes()
+    assert grad.tobytes() == f.grad_of(u).tobytes()
+    for row in u:
+        value, grad = f.value_and_grad(row)
+        assert np.ndim(value) == 0 and grad.shape == (dim,)
+        assert np.asarray(value).tobytes() == np.asarray(f.value_of(row)).tobytes()
+        assert grad.tobytes() == f.grad_of(row).tobytes()
+    value, grad = f.value_and_grad(np.zeros((0, dim)))
+    assert value.shape == (0,) and grad.shape == (0, dim)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_solve_banded
 
-from clarklab.errors import DimensionError, InvalidPoint
+from clarklab.errors import DimensionError, InvalidParams, InvalidPoint
 from clarklab.spaces import H01Grid, L2Truncation, Point, check_coords
 
 
@@ -74,6 +77,43 @@ def test_h01_batched_riesz_equals_row_by_row_solves():
             alone = cho_solve_banded((g._chol, False), g.mesh_width * f[i, j])
             assert np.array_equal(batched[i, j], alone)
     assert g.riesz_of_load(np.zeros((0, 30))).shape == (0, 30)
+
+
+@st.composite
+def _grid_vector_pairs(draw):
+    """Two arrays of one shape (..., nodes): 1-d, 2-d or 3-d, nodes 1-12,
+    entries including both signed zeros."""
+    nodes = draw(st.integers(1, 12))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    arrays = hnp.arrays(np.float64, lead + (nodes,),
+                        elements=st.floats(-1e3, 1e3, allow_nan=False))
+    return draw(arrays), draw(arrays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_grid_vector_pairs())
+@example(pair=(np.array([0.0]), np.array([-0.0])))
+@example(pair=(np.zeros((0, 3)), np.zeros((0, 3))))
+def test_h01_norm_and_inner_equal_the_np_diff_formula_bit_for_bit(pair):
+    # the formula the kernels had, written out: np.diff over the vector
+    # extended by zero boundaries
+    u, v = pair
+    g = H01Grid(u.shape[-1])
+    h = g.mesh_width
+    du = np.diff(u, axis=-1, prepend=0.0, append=0.0)
+    dv = np.diff(v, axis=-1, prepend=0.0, append=0.0)
+    norm = np.asarray(g.norm(u))
+    inner = np.asarray(g.inner(u, v))
+    assert norm.shape == inner.shape == u.shape[:-1]
+    assert norm.tobytes() == np.asarray(np.sqrt(np.sum(du * du, axis=-1) / h)).tobytes()
+    assert inner.tobytes() == np.asarray(np.sum(du * dv, axis=-1) / h).tobytes()
+
+
+def test_h01_grid_rejects_a_size_below_one_node():
+    for nodes in (0, -3):
+        with pytest.raises(InvalidParams):
+            H01Grid(nodes)
+    assert H01Grid(1).riesz_of_load(np.ones(1)).shape == (1,)
 
 
 def test_h01_inner_is_the_stiffness_bilinear_form():
