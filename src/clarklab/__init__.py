@@ -19,8 +19,6 @@ from .errors import (
     SetupInconsistent,
 )
 from .functionals import (
-    C1,
-    C1_NOT_C2,
     Functional,
     PSReport,
     RelErrorReport,
@@ -46,8 +44,6 @@ from .spaces import H01Grid, L2Truncation, Point
 __version__ = "0.1.0"
 
 __all__ = [
-    "C1",
-    "C1_NOT_C2",
     "ClarkLabError",
     "ClarkModel",
     "CriticalPoint",

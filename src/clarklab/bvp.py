@@ -43,9 +43,6 @@ def energy_scaling_exponent(p: float) -> float:
 
 @dataclass
 class Trajectory:
-    p: float
-    slope: float
-    t_max: float
     crossing_times: np.ndarray
     sol: object  # dense OdeSolution
 
@@ -81,15 +78,13 @@ def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
     times = times[times > 1e-12]  # the launch point itself is a zero
     if times.size == 0:
         raise NoCrossing(f"no return to zero before t_max = {t_max}")
-    return Trajectory(p=p, slope=float(slope), t_max=t_max,
-                      crossing_times=times, sol=sol.sol)
+    return Trajectory(crossing_times=times, sol=sol.sol)
 
 
 @dataclass
 class BaseProfile:
     """The unit-slope arch rescaled to land its first zero at x = 1."""
 
-    p: float
     t1: float       # first zero time of the unit-slope shot
     alpha: float    # amplitude factor t1^(2/(p-1))
     traj: Trajectory
@@ -118,7 +113,7 @@ def base_profile(p: float) -> BaseProfile:
     else:
         raise NoCrossing(f"no zero crossing found up to t_max = {t_max}")
     t1 = float(traj.crossing_times[0])
-    return BaseProfile(p=p, t1=t1, alpha=t1 ** (2.0 / (p - 1.0)), traj=traj)
+    return BaseProfile(t1=t1, alpha=t1 ** (2.0 / (p - 1.0)), traj=traj)
 
 
 @dataclass
@@ -126,7 +121,6 @@ class NodalSolution:
     p: float
     k: int
     grid_values: Point
-    deriv_values: np.ndarray     # at the same abscissae incl. boundaries
     abscissae: np.ndarray        # 0, interior nodes, 1
     values_full: np.ndarray      # with the boundary zeros
     energy_norm_sq: float
@@ -172,7 +166,7 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     return NodalSolution(
         p=p, k=k,
         grid_values=Point(u[1:-1], grid),
-        deriv_values=du, abscissae=x, values_full=u,
+        abscissae=x, values_full=u,
         energy_norm_sq=norm_sq, j_value=j_val, nehari_residual=nehari,
         sup_norm=float(np.max(np.abs(u))),
         strong_residual=strong,

@@ -175,7 +175,8 @@ def _run_scan(ns, out: Path):
     cfg = SolveConfig(seed_rng=ns.seed, max_flow_time=ns.max_flow_time)
     report = accumulation_scan(model, z, (ns.window_lo, ns.window_hi),
                                ns.seeds, cfg, threads=ns.threads)
-    report.to_csv(out / "scan.csv")
+    _write_csv(out / "scan.csv", ["value", "residual", "t", "dist_to_K0hat", "label"],
+               [(e.value, e.residual, e.t, e.dist_to_k0hat, e.label) for e in report.entries])
     # one batched distance call; an empty scan has no rows to batch
     worst = (float(np.max(oracle.distance([e.coords for e in report.entries])))
              if report.entries else 0.0)
@@ -400,6 +401,8 @@ def main(argv=None) -> int:
             parser.error(f"{key} must be finite")
     if ns.seed < 0:
         parser.error("seed must be non-negative")
+    if ns.threads < 1:
+        parser.error("threads must be positive")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
 

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParams,
     SetupInconsistent,
 )
-from .functionals import C1, Functional
+from .functionals import Functional
 from .spaces import L2Truncation, Point
 from .topology import Cloud
 
@@ -46,8 +46,6 @@ class TwoClusterFunctional(Functional):
 
     def __init__(self):
         self.space = L2Truncation(2)
-        self.smoothness = C1
-        self.evenness_declared = True
 
     @staticmethod
     def _w(s):

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, EmptyInput, InvalidPoint
-from .spaces import Point, SpaceTag, check_coords
+from .spaces import Point, SpaceTag
 from .topology import Cloud, components
-
-C1 = "C1"
-C1_NOT_C2 = "C1_not_C2"
 
 
 class Functional:
@@ -34,8 +31,6 @@ class Functional:
     """
 
     space: SpaceTag
-    smoothness: str = C1
-    evenness_declared: bool = False
 
     def value_of(self, coords):
         raise NotImplementedError
@@ -62,11 +57,6 @@ class Functional:
     def evaluate(self, point: Point) -> float:
         self._check(point)
         return float(self.value_of(point.coords))
-
-    def residual(self, coords) -> float:
-        """Norm of the gradient in the space norm (= dual norm of I')."""
-        coords = check_coords(self.space, coords)
-        return float(self.space.norm(self.grad_of(coords)))
 
     def _check(self, point: Point):
         if not isinstance(point, Point):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .functionals import C1_NOT_C2, Functional
+from .functionals import Functional
 from .spaces import H01Grid, L2Truncation, Point
 
 LABEL_Z = "Z"
@@ -106,9 +106,6 @@ class ModelParams:
 
 
 class ClarkModel(Functional):
-    smoothness = C1_NOT_C2
-    evenness_declared = True
-
     def __init__(self, params: ModelParams):
         self.params = params
         self.space = L2Truncation(params.n + 1)
@@ -385,9 +382,6 @@ class SublinearEnergy(Functional):
     u'' + |u|^(p-1) u = 0.
     """
 
-    smoothness = C1_NOT_C2
-    evenness_declared = True
-
     def __init__(self, grid: H01Grid, p: float = 0.5):
         if not 0.0 < p < 1.0:
             raise InvalidParams(f"p must lie in (0, 1), got {p}")
@@ -421,9 +415,6 @@ class WrapperFunctional(Functional):
     ball the gradient is 4 pi sin(2 pi ||u||^2) u; outside it follows by
     the chain rule from the Riesz gradient of J.
     """
-
-    smoothness = C1_NOT_C2
-    evenness_declared = True
 
     def __init__(self, grid: H01Grid, p: float = 0.5):
         self.space = grid

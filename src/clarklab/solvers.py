@@ -7,7 +7,9 @@ sufficient-decrease margin (up to a machine-epsilon noise band), so
 energies are non-increasing along every trajectory except for rounding
 at the ~1e-14 scale.  Seeds are independent; the batch driver
 advances all of them in lockstep with per-row step sizes, which is what
-makes thousand-seed scans cheap in numpy.
+makes thousand-seed scans cheap in numpy.  Its arrays hold only the rows
+still running: a row's result is recorded on the iteration it stops, and
+the row leaves the arrays then, so every step works on whole arrays.
 
 A functional may split its coordinates into blocks (``step_blocks``).
 Each block of each row then keeps its own Armijo step and its own flow
@@ -19,7 +21,7 @@ stiff x-modes would otherwise cap.  With one block (every H01 functional)
 the iteration is the plain full-gradient flow in the space norm.
 
 Each iteration makes one ``Functional.value_and_grad`` call, on the
-proposals of the active rows: the value decides acceptance, and the
+proposals of the running rows: the value decides acceptance, and the
 accepted rows keep the gradient computed with it.  A row's value and
 gradient do not depend on the other rows of the batch, so this gives the
 bits of evaluating the accepted rows again, without the second pass.
@@ -28,7 +30,6 @@ The gradients of rejected proposals are the only waste.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -98,88 +99,77 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     tolerance, time budget or step collapse; returns a _RowResult per row.
 
     Iteration k proposes a step on block k mod nb of ``f.step_blocks()``.
-    A row's flow time is the smallest of its blocks' flow times.
+    A row's flow time is the smallest of its blocks' flow times.  The
+    arrays hold only the running rows, and ``rows`` maps them back to the
+    input order.  A row's stop reason is converged, else budget, else
+    stalled; a seed whose residual is NaN never runs and ends stalled.
     """
     space = f.space
     u = np.array(seeds, dtype=float)
     if u.ndim == 1:
         u = u[None, :]
-    m = u.shape[0]
+    results = [None] * len(u)
+    rows = np.arange(len(u))
     blocks = f.step_blocks()
     nb = len(blocks)
     caps = [_STEP_CAP if capped else np.inf for _, capped in blocks]
-    h = np.full((m, nb), _INITIAL_STEP)
-    tau = np.zeros((m, nb))
-    steps = np.zeros(m, dtype=int)
+    h = np.full((len(u), nb), _INITIAL_STEP)
+    tau = np.zeros((len(u), nb))
     energy, grad = f.value_and_grad(u)
-    res = np.asarray(space.norm(grad))
-    gg = res * res
-    active = res > cfg.residual_tol
+    res = space.norm(grad)
+    done = ~(res > cfg.residual_tol)
 
     k = 0
-    while np.any(active):
-        idx = np.flatnonzero(active)
+    while True:
+        if np.any(done):
+            flow_time = np.min(tau, axis=1)
+            for i in np.flatnonzero(done):
+                if res[i] <= cfg.residual_tol:
+                    stop = STOP_CONVERGED
+                elif flow_time[i] >= cfg.max_flow_time:
+                    stop = STOP_BUDGET
+                else:
+                    stop = STOP_STALLED
+                results[rows[i]] = _RowResult(
+                    coords=u[i].copy(), value=float(energy[i]), residual=float(res[i]),
+                    flow_time=float(flow_time[i]), steps=k, stop=stop)
+            live = ~done
+            u, h, tau, energy, grad, res, rows = (
+                a[live] for a in (u, h, tau, energy, grad, res, rows))
+        # checked before evaluating: an empty batch must not step
+        if not rows.size:
+            return results
+
         b = k % nb
-        hb = h[idx, b]
+        hb = h[:, b]
         if nb == 1:
-            prop = u[idx] - hb[:, None] * grad[idx]
-            gnorm2 = gg[idx]
+            prop = u - hb[:, None] * grad
+            gnorm2 = res * res
         else:
             sl = blocks[b][0]
-            gb = grad[idx, sl]
-            prop = u[idx]
+            gb = grad[:, sl]
+            prop = u.copy()
             prop[:, sl] -= hb[:, None] * gb
             gnorm2 = np.sum(gb * gb, axis=1)
         e_prop, g_prop = f.value_and_grad(prop)
-        e_prop = np.atleast_1d(e_prop)
-        slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy[idx]))
-        accept = e_prop <= energy[idx] - _ARMIJO * hb * gnorm2 + slack
+        slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy))
+        accept = e_prop <= energy - _ARMIJO * hb * gnorm2 + slack
 
-        acc = idx[accept]
-        if acc.size:
-            u[acc] = prop[accept]
-            energy[acc] = e_prop[accept]
-            tau[acc, b] += h[acc, b]
-            # a block whose gradient vanishes exactly (the model's t at the
-            # clamp corners) keeps its step, so an uncapped step stays finite
-            grow = acc[gnorm2[accept] > 0.0]
-            h[grow, b] = np.minimum(h[grow, b] * _GROW, caps[b])
-            g_new = g_prop[accept]
-            grad[acc] = g_new
-            r_new = np.atleast_1d(space.norm(g_new))
-            res[acc] = r_new
-            gg[acc] = r_new * r_new
-
-        rej = idx[~accept]
-        h[rej, b] *= _SHRINK
-        steps[idx] += 1
+        acc = np.flatnonzero(accept)
+        u[acc] = prop[acc]
+        energy[acc] = e_prop[acc]
+        tau[acc, b] += hb[acc]
+        grad[acc] = g_prop[acc]
+        res[acc] = space.norm(grad[acc])
+        # a block whose gradient vanishes exactly (the model's t at the
+        # clamp corners) keeps its step, so an uncapped step stays finite
+        grow = acc[gnorm2[acc] > 0.0]
+        h[grow, b] = np.minimum(h[grow, b] * _GROW, caps[b])
+        h[~accept, b] *= _SHRINK
         k += 1
 
-        done = res[idx] <= cfg.residual_tol
-        out_of_time = np.min(tau[idx], axis=1) >= cfg.max_flow_time
-        stalled = h[idx, b] < _MIN_STEP
-        active[idx[done | out_of_time | stalled]] = False
-
-    flow_time = np.min(tau, axis=1)
-    results = []
-    for i in range(m):
-        if res[i] <= cfg.residual_tol:
-            stop = STOP_CONVERGED
-        elif flow_time[i] >= cfg.max_flow_time:
-            stop = STOP_BUDGET
-        else:
-            stop = STOP_STALLED
-        results.append(
-            _RowResult(
-                coords=u[i].copy(),
-                value=float(energy[i]),
-                residual=float(res[i]),
-                flow_time=float(flow_time[i]),
-                steps=int(steps[i]),
-                stop=stop,
-            )
-        )
-    return results
+        done = ((res <= cfg.residual_tol) | (np.min(tau, axis=1) >= cfg.max_flow_time)
+                | (h[:, b] < _MIN_STEP))
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +229,6 @@ class AccumulationReport:
     n_seeds: int
     n_converged: int
     entries: list = field(default_factory=list)
-
-    CSV_COLUMNS = ("value", "residual", "t", "dist_to_K0hat", "label")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for e in self.entries:
-                writer.writerow([repr(e.value), repr(e.residual), repr(e.t),
-                                 repr(e.dist_to_k0hat), e.label])
 
     def to_json_dict(self):
         return {

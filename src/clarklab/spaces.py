@@ -166,20 +166,8 @@ class Point:
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
-    def norm(self):
-        return float(self.space.norm(self.coords))
-
-    def inner(self, other: "Point"):
-        _require_same_space(self, other)
-        return float(self.space.inner(self.coords, other.coords))
-
     def __neg__(self):
         return Point(-self.coords, self.space)
 
     def __repr__(self):
         return f"Point({np.array2string(self.coords, precision=6, threshold=8)}, {self.space})"
-
-
-def _require_same_space(a: Point, b: Point):
-    if a.space != b.space:
-        raise DimensionError(f"space mismatch: {a.space} vs {b.space}")

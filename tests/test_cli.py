@@ -107,10 +107,12 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("scan", "--window-lo=-inf"), "window_lo must be finite"),
     (("psdiag", "--tol", "inf"), "tol must be finite"),
     (("bvp", "--p", "nan"), "p must be finite"),
+    (("enumerate", "--threads", "0"), "threads must be positive"),
+    (("scan", "--threads", "-3"), "threads must be positive"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
         "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
-        "bvp-p-nan"])
+        "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1

@@ -55,9 +55,8 @@ def test_two_cluster_profile_and_gradient():
     assert float(f.value_of(np.array([1.0, 0.0]))) == 0.0
     assert float(f.value_of(np.array([0.0, np.sqrt(2.0)]))) == pytest.approx(0.0, abs=1e-15)
     # the unit circle is critical, the sqrt(2) circle is not
-    assert f.residual(np.array([np.sqrt(0.5), np.sqrt(0.5)])) < 1e-15
-    assert f.residual(np.array([np.sqrt(2.0), 0.0])) > 1.0
-    assert f.evenness_declared
+    assert f.space.norm(f.grad_of(np.array([np.sqrt(0.5), np.sqrt(0.5)]))) < 1e-15
+    assert f.space.norm(f.grad_of(np.array([np.sqrt(2.0), 0.0]))) > 1.0
 
 
 def test_setup_clouds_geometry():

@@ -27,7 +27,7 @@ def test_evaluate_gradient_residual_are_coherent():
     p = Point(np.array([1.0, 2.0, -2.0]), f.space)
     assert f.evaluate(p) == pytest.approx(4.5)
     assert np.array_equal(f.grad_of(p.coords), p.coords)
-    assert f.residual(p.coords) == pytest.approx(3.0)
+    assert f.space.norm(f.grad_of(p.coords)) == pytest.approx(3.0)
 
 
 def test_point_space_mismatch_is_rejected():

@@ -71,7 +71,7 @@ def test_single_axis_branch_values_in_closed_form():
         coords[j] = 9.0 * 3.0 ** (-2 * j)
         value = float(model.value_of(coords))
         assert abs(value - (-13.5 * 3.0 ** (-4 * j))) < 1e-15
-        assert model.residual(coords) < 1e-15
+        assert model.space.norm(model.grad_of(coords)) < 1e-15
 
 
 def test_branch_magnitudes_at_the_faces():
@@ -141,7 +141,7 @@ def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
     for p in es.points:
         c = p.point.coords
         assert p.value == float(model.value_of(c))
-        assert p.residual == model.residual(c)
+        assert p.residual == model.space.norm(model.grad_of(c))
         # no negative zeros: the t = -1 rows are built from negated signs
         assert not np.any(np.signbit(c) & (c == 0.0))
     assert es.points == sorted(es.points, key=lambda p: (p.value, tuple(p.point.coords)))
@@ -243,7 +243,6 @@ def test_sublinear_gradient_zeros_match_difference_scheme():
     lhs = grid.stiffness_apply(u - g)
     rhs = grid.mesh_width * np.sign(u) * np.abs(u) ** 0.5
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert f.evenness_declared
 
 
 def test_sublinear_value_closed_form_on_a_sine():
@@ -275,10 +274,10 @@ def test_wrapper_values_inside_on_and_outside_the_seam():
     # inside: 1 - cos(2 pi |u|^2); the half-norm sphere carries value 2
     u_half = base * np.sqrt(0.5)
     assert float(w.value_of(u_half)) == pytest.approx(2.0, abs=1e-12)
-    assert w.residual(u_half) < 1e-12
+    assert grid.norm(w.grad_of(u_half)) < 1e-12
     # the unit sphere is critical at value 0 and the seam is continuous
     assert float(w.value_of(base)) == pytest.approx(0.0, abs=1e-12)
-    assert w.residual(base) < 1e-12
+    assert grid.norm(w.grad_of(base)) < 1e-12
     out = base * 1.1
     s = float(grid.norm(out) ** 2)
     inner = w.inner_energy
@@ -310,7 +309,7 @@ def test_wrapper_gradient_passes_fd_across_the_seam_region():
 
 
 # ---------------------------------------------------------------------------
-# property tests: evenness of every functional that declares it
+# property tests: evenness of every functional
 
 EVEN_FUNCTIONALS = {
     "clark_n1": clark_model(n=1),
@@ -323,7 +322,6 @@ EVEN_FUNCTIONALS = {
 
 def test_property_suite_covers_every_even_functional():
     covered = {type(f) for f in EVEN_FUNCTIONALS.values()}
-    assert all(f.evenness_declared for f in EVEN_FUNCTIONALS.values())
     assert covered == {ClarkModel, SublinearEnergy, WrapperFunctional, TwoClusterFunctional}
 
 

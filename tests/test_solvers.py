@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clarklab import cli
 from clarklab.errors import InvalidParams
 from clarklab.functionals import Functional
 from clarklab.models import (
@@ -13,6 +15,7 @@ from clarklab.models import (
     clark_model,
     classify_model_point,
     sublinear_energy,
+    wrapper_functional,
 )
 from clarklab.solvers import (
     _ARMIJO,
@@ -226,6 +229,23 @@ def test_longer_budgets_extend_the_same_monotone_flow(name):
     assert rows[-1].steps > rows[0].steps and rows[-1].value < rows[0].value
 
 
+@pytest.mark.parametrize("f", [clark_model(n=2), wrapper_functional(H01Grid(4))],
+                         ids=["model", "wrapper"])
+def test_an_empty_batch_gives_no_rows(f):
+    assert gradient_flow_solve_batch(f, np.empty((0, f.space.dim)), SolveConfig()) == []
+
+
+def test_a_nan_seed_stalls_at_once_and_leaves_its_batch_mate_alone():
+    model = clark_model(n=2)
+    seeds = model_seed_sampler(model.params, np.random.default_rng(5), 2)
+    seeds[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        bad, good = gradient_flow_solve_batch(model, seeds, SolveConfig())
+    assert bad.stop == "stalled" and bad.steps == 0
+    assert np.array_equal(bad.coords, seeds[0], equal_nan=True)
+    assert _same_row(good, gradient_flow_solve_batch(model, seeds[1], SolveConfig())[0])
+
+
 def test_invalid_config_rejected():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(InvalidParams):
@@ -323,15 +343,12 @@ def test_scan_rejects_bad_windows():
 
 
 def test_scan_csv_written_with_header(tmp_path):
-    model = clark_model(n=2)
-    z = np.zeros((11, 3))
-    z[:, 0] = np.linspace(-1.0, 1.0, 11)
-    report = accumulation_scan(model, z, (-1.0, -1e-12), 25, SolveConfig(seed_rng=3))
-    path = tmp_path / "scan.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
+    assert cli.main(["scan", "--n", "2", "--seeds", "25", "--window-lo=-1.0",
+                     "--window-hi=-1e-12", "--seed", "3", "--out", str(tmp_path)]) == 0
+    entries = json.loads((tmp_path / "results.json").read_text())["results"]["entries"]
+    lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "value,residual,t,dist_to_K0hat,label"
-    assert len(lines) == 1 + len(report.entries)
+    assert len(lines) == 1 + len(entries) > 1
     # repr round-trip keeps float values exact
     first = lines[1].split(",")
-    assert float(first[0]) == report.entries[0].value
+    assert float(first[0]) == entries[0]["value"]

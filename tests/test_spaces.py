@@ -128,9 +128,9 @@ def test_point_norm_inner_distance():
     s = L2Truncation(3)
     p = Point(np.array([1.0, 0.0, 0.0]), s)
     q = Point(np.array([0.0, 1.0, 0.0]), s)
-    assert p.norm() == 1.0
-    assert p.inner(q) == 0.0
-    assert Point(p.coords - q.coords, s).norm() == pytest.approx(np.sqrt(2.0))
+    assert s.norm(p.coords) == 1.0
+    assert s.inner(p.coords, q.coords) == 0.0
+    assert s.norm(Point(p.coords - q.coords, s).coords) == pytest.approx(np.sqrt(2.0))
 
 
 def test_dimension_mismatch_raises():
