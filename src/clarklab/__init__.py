@@ -27,7 +27,6 @@ from .functionals import (
 )
 from .models import (
     ClarkModel,
-    CriticalPoint,
     CriticalSetOracle,
     ModelParams,
     SublinearEnergy,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClarkLabError",
     "ClarkModel",
-    "CriticalPoint",
     "CriticalSetOracle",
     "DeformationFailure",
     "DimensionError",

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ClarkLabError
 from .functionals import ps_diagnostic
-from .models import CriticalSetOracle, clark_model, enumerate_critical_set
+from .models import ENUMERATION_N_MAX, CriticalSetOracle, clark_model, enumerate_critical_set
 from .solvers import SolveConfig, accumulation_scan
 from .spaces import Point
 from .topology import Cloud, origin_component_stabilization
@@ -149,11 +149,12 @@ def _write_json(path: Path, obj):
 def _run_enumerate(ns, out: Path):
     model = clark_model(n=ns.n)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
-    labels = [cp.label for cp in es.points]
-    worst = max(cp.residual for cp in es.points)
-    rows = [(cp.label, cp.sign_pattern or "", float(cp.value), float(cp.residual),
-             float(cp.point.coords[0])) for cp in es.points]
-    _write_csv(out / "points.csv", ["label", "pattern", "value", "residual", "t"], rows)
+    labels = es.labels.tolist()
+    worst = float(np.max(es.residuals))
+    patterns = [p or "" for p in es.patterns]
+    _write_csv(out / "points.csv", ["label", "pattern", "value", "residual", "t"],
+               zip(labels, patterns, es.values.tolist(), es.residuals.tolist(),
+                   es.coords[:, 0].tolist()))
     results = {
         "n": ns.n,
         "counts": {lbl: labels.count(lbl) for lbl in sorted(set(labels))},
@@ -176,15 +177,16 @@ def _run_scan(ns, out: Path):
     report = accumulation_scan(model, z, (ns.window_lo, ns.window_hi),
                                ns.seeds, cfg, threads=ns.threads)
     _write_csv(out / "scan.csv", ["value", "residual", "t", "dist_to_K0hat", "label"],
-               [(e.value, e.residual, e.t, e.dist_to_k0hat, e.label) for e in report.entries])
-    # one batched distance call; an empty scan has no rows to batch
-    worst = (float(np.max(oracle.distance([e.coords for e in report.entries])))
-             if report.entries else 0.0)
+               zip(report.values.tolist(), report.residuals.tolist(),
+                   report.coords[:, 0].tolist(), report.dist_to_k0hat.tolist(),
+                   report.labels))
+    # one batched distance call; an empty scan's worst distance is 0
+    worst = float(np.max(oracle.distance(report.coords), initial=0.0))
     results = report.to_json_dict()
     results["worst_oracle_distance"] = worst
     checks = {
         "all_in_window_near_oracle": worst <= ns.oracle_tol,
-        "edge_labels_only": all(e.label in ("N", "-N") for e in report.entries),
+        "edge_labels_only": all(lbl in ("N", "-N") for lbl in report.labels),
     }
     return results, checks
 
@@ -405,6 +407,8 @@ def main(argv=None) -> int:
         parser.error("threads must be positive")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
+    if ns.experiment in ("enumerate", "scan") and ns.n > ENUMERATION_N_MAX:
+        parser.error(f"n must not exceed {ENUMERATION_N_MAX}")
 
     out = Path(ns.out)
     try:

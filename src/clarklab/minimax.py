@@ -114,20 +114,22 @@ def sphere_sup_witness(f: Functional, k: int, rho, budget: Budget | None = None)
     # projected ascent on the constraint ||embed(y)|| = rho
     y = y0[:, -_N_STARTS:].reshape(-1, k).copy()
     r_rows = np.repeat(r, _N_STARTS)
-    cur = np.atleast_1d(f.value_of(_embed(dim, block, y)))
+    # one fused evaluation per step; a rejected row keeps y and its gradient
+    cur, grad = f.value_and_grad(_embed(dim, block, y))
     alpha = 0.1 * r_rows
     for _ in range(_ASCENT_STEPS):
         coords = _embed(dim, block, y)
-        partial = f.space.to_dual(f.grad_of(coords))[:, block]
+        partial = f.space.to_dual(grad)[:, block]
         q = f.space.to_dual(coords)[:, block]
         qq = np.sum(q * q, axis=1)
         coef = np.sum(partial * q, axis=1) / np.where(qq > 0, qq, 1.0)
         tang = partial - coef[:, None] * q
         trial = _renorm(f, block, y + alpha[:, None] * tang, r_rows)
-        t_val = np.atleast_1d(f.value_of(_embed(dim, block, trial)))
+        t_val, t_grad = f.value_and_grad(_embed(dim, block, trial))
         better = t_val > cur
         y[better] = trial[better]
         cur[better] = t_val[better]
+        grad[better] = t_grad[better]
         alpha[better] *= 1.2
         alpha[~better] *= 0.5
     i = np.argmax(cur.reshape(nr, _N_STARTS), axis=1)

@@ -34,14 +34,13 @@ Three families live here, all even, bounded below, and C1 but not C2:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .spaces import H01Grid, L2Truncation, Point
+from .spaces import H01Grid, L2Truncation
 
 LABEL_Z = "Z"
 LABEL_N = "N"
@@ -94,15 +93,6 @@ class ModelParams:
         mu, _ = mu_parts(t)
         w2 = self.weights ** 2
         return (2.0 + mu) ** 2 * w2, (2.0 - mu) ** 2 * w2
-
-    def branch_coords(self, t, signs):
-        """Branch points (t, x) for a (k, n) array of signs in {-1, 0, 1}:
-        x_j is the positive-branch magnitude, 0 or minus the negative-branch
-        magnitude.  Returns (k, n+1) rows."""
-        signs = np.asarray(signs)
-        pos, neg = self.branch_magnitudes(t)
-        x = np.where(signs > 0, pos, 0.0) - np.where(signs < 0, neg, 0.0)
-        return np.concatenate([np.full((len(signs), 1), float(t)), x], axis=1)
 
 
 class ClarkModel(Functional):
@@ -166,56 +156,63 @@ def clark_model(n: int = 4) -> ClarkModel:
 # ---------------------------------------------------------------------------
 # the known critical set
 
-@dataclass(frozen=True, eq=False)
-class CriticalPoint:
-    point: Point
-    value: float
-    residual: float
-    label: str
-    sign_pattern: str | None = None
-
-    def to_json_dict(self):
-        c = self.point.coords
-        return {
-            "t": float(c[0]),
-            "x": [float(v) for v in c[1:]],
-            "value": self.value,
-            "label": self.label,
-            "pattern": self.sign_pattern,
-        }
+# the largest truncation whose critical set is enumerated: 2 * 3^n branch
+# rows, 118,098 at n = 10.  Each step in n triples the rows, and the CLI's
+# enumerate at n = 10 already peaks at about 450 MB
+ENUMERATION_N_MAX = 10
 
 
-def _pattern_string(signs):
-    return "".join({1: "+", 0: "0", -1: "-"}[s] for s in signs)
+def _pattern_strings(signs):
+    """One '+0-' string per row of a (k, n) array of signs in {1, 0, -1},
+    as a (k,) string array."""
+    chars = np.array(["-", "0", "+"])[signs + 1]
+    return np.ascontiguousarray(chars).view(f"<U{signs.shape[1]}")[:, 0]
 
 
 def _branch_rows(params: ModelParams):
-    """Sign patterns and rows of the 3^n branch points at t = 1, then their
-    mirrors at t = -1 (built from the negated signs, so zeros stay +0.0)."""
-    signs = np.array(list(itertools.product((1, 0, -1), repeat=params.n)))
-    rows = np.concatenate([params.branch_coords(1.0, signs),
-                           params.branch_coords(-1.0, -signs)])
-    return np.concatenate([signs, -signs]), rows
+    """Sign patterns and rows of the 3^n branch points at t = 1, in
+    itertools.product((1, 0, -1), repeat=n) order, then their mirrors at
+    t = -1.  x_j is the positive-branch magnitude, 0 or minus the
+    negative-branch one.  mu is odd, so at t = -1 the two magnitudes swap
+    and each mirror is its row negated, with + 0.0 keeping zeros +0.0."""
+    n = params.n
+    if n > ENUMERATION_N_MAX:
+        raise InvalidParams(f"the critical set is enumerated up to n = {ENUMERATION_N_MAX}, "
+                            f"got n = {n}")
+    signs = (1 - np.arange(3 ** n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3).astype(np.int8)
+    pos, neg = params.branch_magnitudes(1.0)
+    rows = np.ones((len(signs), n + 1))
+    rows[:, 1:] = np.where(signs > 0, pos, 0.0) - np.where(signs < 0, neg, 0.0)
+    return np.concatenate([signs, -signs]), np.concatenate([rows, -rows + 0.0])
 
 
 @dataclass
 class EnumeratedCriticalSet:
-    """Closed-form critical set of the coordinate model at truncation n.
+    """Closed-form critical set of the coordinate model at truncation n, as
+    columns: ``coords`` (rows of n + 1 floats), ``values``, ``residuals``,
+    ``labels`` (N, -N or Z) and ``patterns`` (a sign-pattern string per
+    branch point, None on the segment).
 
-    ``points`` is canonically sorted by value, then lexicographically by
+    Rows are canonically sorted by value, then lexicographically by
     coordinates.  The zero segment is represented by ``z_samples`` evenly
     spaced parameter values.
     """
 
     n: int
-    points: list
+    coords: np.ndarray
+    values: np.ndarray
+    residuals: np.ndarray
+    labels: np.ndarray
+    patterns: list
 
     def coords_array(self, labels=None):
-        pts = self.points if labels is None else [p for p in self.points if p.label in labels]
-        return np.stack([p.point.coords for p in pts])
+        return self.coords if labels is None else self.coords[np.isin(self.labels, labels)]
 
     def to_json_dict(self):
-        return {"n": self.n, "points": [p.to_json_dict() for p in self.points]}
+        return {"n": self.n, "points": [
+            {"t": c[0], "x": c[1:], "value": v, "label": lbl, "pattern": pat}
+            for c, v, lbl, pat in zip(self.coords.tolist(), self.values.tolist(),
+                                      self.labels.tolist(), self.patterns)]}
 
 
 def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> EnumeratedCriticalSet:
@@ -223,7 +220,8 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
 
     Branch points come in 3^n sign patterns at t = 1 (label N) and their
     negations at t = -1 (label -N).  Every returned point has gradient
-    residual below 1e-12 by construction of the branch formulas.
+    residual below 1e-12 by construction of the branch formulas.  Raises
+    InvalidParams above n = ENUMERATION_N_MAX.
     """
     if z_samples < 2:
         raise InvalidParams("z_samples must be at least 2")
@@ -235,27 +233,38 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     values = model.value_of(rows)
     residuals = model.space.norm(model.grad_of(rows))
     half = len(signs) // 2
-    labels = [LABEL_N] * half + [LABEL_NEG_N] * half + [LABEL_Z] * z_samples
-    patterns = [_pattern_string(s) for s in signs] + [None] * z_samples
+    labels = np.repeat([LABEL_N, LABEL_NEG_N, LABEL_Z], [half, half, z_samples])
+    patterns = np.full(len(rows), None, dtype=object)
+    patterns[:len(signs)] = _pattern_strings(signs)
     # stable, so the t = +-1 segment rows stay behind the zero-pattern
     # branch points they duplicate
     order = np.lexsort(np.vstack([rows.T[::-1], values]))
-    pts = [CriticalPoint(Point(rows[i], model.space), float(values[i]), float(residuals[i]),
-                         labels[i], patterns[i]) for i in order]
-    return EnumeratedCriticalSet(n=params.n, points=pts)
+    return EnumeratedCriticalSet(n=params.n, coords=rows[order], values=values[order],
+                                 residuals=residuals[order], labels=labels[order],
+                                 patterns=patterns[order].tolist())
 
 
-# a distance batch is cut into row blocks whose (rows, branches, n+1)
+# a distance batch is cut into row blocks whose (rows, cloud, dim)
 # difference tensor holds about _DIFF_BLOCK floats (256 KB), so its memory
 # does not grow with the number of rows
 _DIFF_BLOCK = 1 << 15
+
+
+def _min_distances(coords, cloud):
+    """Euclidean distance from each row of ``coords`` to its nearest row of
+    ``cloud``, one row block at a time."""
+    step = max(1, _DIFF_BLOCK // cloud.size)
+    out = np.empty(len(coords))
+    for s in range(0, len(coords), step):
+        diff = coords[s:s + step, None, :] - cloud[None, :, :]
+        out[s:s + step] = np.min(np.linalg.norm(diff, axis=2), axis=1)
+    return out
 
 
 class CriticalSetOracle:
     """Distance queries against the closed-form critical set."""
 
     def __init__(self, model: ClarkModel):
-        self.model = model
         self._branches = _branch_rows(model.params)[1]
 
     def distance(self, coords):
@@ -266,12 +275,7 @@ class CriticalSetOracle:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
         seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
-        step = max(1, _DIFF_BLOCK // self._branches.size)
-        branch = np.concatenate([
-            np.min(np.linalg.norm(coords[s:s + step, None, :] - self._branches[None, :, :],
-                                  axis=2), axis=1)
-            for s in range(0, len(coords), step)])
-        out = np.minimum(seg, branch)
+        out = np.minimum(seg, _min_distances(coords, self._branches))
         return float(out[0]) if single else out
 
 
@@ -280,23 +284,28 @@ _FACE_T_TOL = 1e-3
 
 
 def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
-    """Label a solver terminal point by the closed-form structure.
+    """Label solver terminal points by the closed-form structure.
 
     A point whose x-part is below 10*residual_tol is the zero segment
     (the whole segment is critical, so x is the only discriminator); the
     rest are branch families at t = +-1 up to _FACE_T_TOL, anything else
-    is labelled other.
+    is labelled other.  Every point but a Z one also gets the sign pattern
+    of its x-part, with 0 for |x_j| up to 10*residual_tol.  A 1-d point
+    gives one (label, pattern) pair, a (rows, n+1) batch a list of labels
+    and a list of patterns.
     """
-    coords = np.asarray(coords, dtype=float)
-    t, x = coords[0], coords[1:]
-    if np.linalg.norm(x) < 10.0 * residual_tol and abs(t) <= 1.0 + _FACE_T_TOL:
-        return LABEL_Z, None
-    signs = np.where(x > 10.0 * residual_tol, 1, np.where(x < -10.0 * residual_tol, -1, 0))
-    if abs(t - 1.0) <= _FACE_T_TOL:
-        return LABEL_N, _pattern_string(signs)
-    if abs(t + 1.0) <= _FACE_T_TOL:
-        return LABEL_NEG_N, _pattern_string(signs)
-    return LABEL_OTHER, _pattern_string(signs)
+    single = np.ndim(coords) == 1
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    t, x = coords[:, 0], coords[:, 1:]
+    cut = 10.0 * residual_tol
+    zero = (np.linalg.norm(x, axis=1) < cut) & (np.abs(t) <= 1.0 + _FACE_T_TOL)
+    labels = np.select([zero, np.abs(t - 1.0) <= _FACE_T_TOL, np.abs(t + 1.0) <= _FACE_T_TOL],
+                       [LABEL_Z, LABEL_N, LABEL_NEG_N], LABEL_OTHER)
+    signs = np.where(x > cut, 1, np.where(x < -cut, -1, 0))
+    patterns = np.where(zero, None, _pattern_strings(signs).astype(object))
+    if single:
+        return str(labels[0]), patterns[0]
+    return labels.tolist(), patterns.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +358,16 @@ def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, seed_rng: 
     cfg = SolveConfig(residual_tol=1e-8, max_flow_time=_INTERIOR_FLOW_TIME, seed_rng=seed_rng)
     results = gradient_flow_solve_batch(model, seed_pts, cfg)
 
-    violations = []
-    converged = 0
-    for res in results:
-        if not res.converged:
-            continue
-        converged += 1
-        c = res.coords
-        if abs(c[0]) < 1.0 - _INTERIOR_DELTA and np.linalg.norm(c[1:]) > _INTERIOR_X_TOL:
-            violations.append(c)
+    converged = [r.coords for r in results if r.converged]
+    violations = [c for c in converged if abs(c[0]) < 1.0 - _INTERIOR_DELTA
+                  and np.linalg.norm(c[1:]) > _INTERIOR_X_TOL]
 
     passed = min_margin >= 0.25 and not violations
     return InteriorExclusionReport(
         bound_rows=rows,
         min_margin=min_margin,
         seeds_run=seeds,
-        converged=converged,
+        converged=len(converged),
         violations=violations,
         passed=passed,
     )

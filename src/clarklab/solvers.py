@@ -31,13 +31,13 @@ The gradients of rejected proposals are the only waste.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .models import ClarkModel, ModelParams, classify_model_point
+from .models import ClarkModel, ModelParams, _min_distances, classify_model_point
 
 
 @dataclass(frozen=True)
@@ -210,25 +210,23 @@ def ball_seed_sampler(space, radius: float, rng: np.random.Generator, count: int
 
 
 @dataclass
-class ScanEntry:
-    value: float
-    residual: float
-    t: float
-    dist_to_k0hat: float
-    label: str
-    pattern: str | None
-    coords: np.ndarray
-
-
-@dataclass
 class AccumulationReport:
-    """Converged scan terminals with values inside a negative window,
-    canonically sorted by value then coordinates."""
+    """Converged scan terminals with values inside a negative window, as
+    columns: ``coords`` (rows of n + 1 floats), ``values``, ``residuals``,
+    ``dist_to_k0hat`` (distance to the nearest reference point), and the
+    ``labels`` and ``patterns`` lists of ``classify_model_point``.  Rows
+    are canonically sorted by value, then lexicographically by coordinates.
+    """
 
     window: tuple
     n_seeds: int
     n_converged: int
-    entries: list = field(default_factory=list)
+    coords: np.ndarray
+    values: np.ndarray
+    residuals: np.ndarray
+    dist_to_k0hat: np.ndarray
+    labels: list
+    patterns: list
 
     def to_json_dict(self):
         return {
@@ -236,16 +234,11 @@ class AccumulationReport:
             "n_seeds": self.n_seeds,
             "n_converged": self.n_converged,
             "entries": [
-                {
-                    "value": e.value,
-                    "residual": e.residual,
-                    "t": e.t,
-                    "dist_to_K0hat": e.dist_to_k0hat,
-                    "label": e.label,
-                    "pattern": e.pattern,
-                    "coords": [float(c) for c in e.coords],
-                }
-                for e in self.entries
+                {"value": v, "residual": r, "t": c[0], "dist_to_K0hat": d,
+                 "label": lbl, "pattern": pat, "coords": c}
+                for v, r, c, d, lbl, pat in zip(
+                    self.values.tolist(), self.residuals.tolist(), self.coords.tolist(),
+                    self.dist_to_k0hat.tolist(), self.labels, self.patterns)
             ],
         }
 
@@ -254,7 +247,7 @@ def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
                       cfg: SolveConfig | None = None, threads: int = 1) -> AccumulationReport:
     """Launch seeded descent flows on the coordinate model and keep
     converged terminals whose value falls strictly inside the window
-    (lo, hi), hi <= 0, labelled by ``classify_model_point``.
+    (lo, hi), hi <= 0, labelled by one batched ``classify_model_point``.
 
     ``k0hat_coords`` is the cloud against which terminal distances are
     reported (samples of the stationary segment).  An empty report is a
@@ -281,20 +274,16 @@ def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
     else:
         results = gradient_flow_solve_batch(model, seeds, cfg)
 
-    entries = []
-    n_conv = 0
-    for row in results:
-        if not row.converged:
-            continue
-        n_conv += 1
-        if not (lo < row.value < hi):
-            continue
-        label, pattern = classify_model_point(model, row.coords, cfg.residual_tol)
-        dist = float(np.min(np.linalg.norm(k0hat - row.coords, axis=1)))
-        entries.append(
-            ScanEntry(value=row.value, residual=row.residual, t=float(row.coords[0]),
-                      dist_to_k0hat=dist, label=label, pattern=pattern, coords=row.coords)
-        )
-    entries.sort(key=lambda e: (e.value, tuple(e.coords)))
-    return AccumulationReport(window=(lo, hi), n_seeds=n_seeds,
-                              n_converged=n_conv, entries=entries)
+    converged = [r for r in results if r.converged]
+    kept = [r for r in converged if lo < r.value < hi]
+    coords = np.array([r.coords for r in kept]).reshape(-1, model.params.n + 1)
+    values = np.array([r.value for r in kept])
+    residuals = np.array([r.residual for r in kept])
+    # canonical order: by value, then lexicographically by coordinates
+    order = np.lexsort(np.vstack([coords.T[::-1], values]))
+    coords, values, residuals = coords[order], values[order], residuals[order]
+    labels, patterns = classify_model_point(model, coords, cfg.residual_tol)
+    return AccumulationReport(window=(lo, hi), n_seeds=n_seeds, n_converged=len(converged),
+                              coords=coords, values=values, residuals=residuals,
+                              dist_to_k0hat=_min_distances(coords, k0hat),
+                              labels=labels, patterns=patterns)

@@ -125,8 +125,9 @@ class H01Grid:
         rhs = self.mesh_width * f
         # one banded solve with every row as a right-hand-side column; LAPACK
         # solves column by column, so each row's result is the same as alone
+        # and a NaN row spoils only its own column
         flat = rhs.reshape(-1, self.nodes)
-        out = cho_solve_banded((self._chol, False), flat.T).T
+        out = cho_solve_banded((self._chol, False), flat.T, check_finite=False).T
         return np.ascontiguousarray(out).reshape(rhs.shape)
 
     def trapezoid(self, values):

@@ -109,10 +109,13 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("bvp", "--p", "nan"), "p must be finite"),
     (("enumerate", "--threads", "0"), "threads must be positive"),
     (("scan", "--threads", "-3"), "threads must be positive"),
+    (("enumerate", "--n", "11"), "n must not exceed 10"),
+    (("scan", "--n", "25"), "n must not exceed 10"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
         "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
-        "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg"])
+        "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg", "enumerate-n-11",
+        "scan-n-25"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
@@ -176,6 +179,17 @@ def test_scan_small_run_finds_only_oracle_points(tmp_path):
     rows = read_csv(out / "scan.csv")
     assert rows[0] == ["value", "residual", "t", "dist_to_K0hat", "label"]
     assert len(rows) > 1
+
+
+def test_scan_with_an_empty_window_writes_an_empty_report(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("scan", "--n", "2", "--seeds", "20", "--window-lo=-1e-300",
+                   "--window-hi=-1e-301", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    results = read_json(out / "results.json")["results"]
+    assert results["entries"] == []
+    assert results["worst_oracle_distance"] == 0.0
+    assert read_csv(out / "scan.csv") == [["value", "residual", "t", "dist_to_K0hat", "label"]]
 
 
 def test_deform_small_run_passes_the_flow_contract(tmp_path):

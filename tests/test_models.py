@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,19 +111,18 @@ def test_clark_model_factory_rejects_a_bad_dimension():
 def test_enumeration_counts_mirror_symmetry_and_residuals():
     model = clark_model(n=2)
     es = enumerate_critical_set(model, z_samples=11)
-    labels = [p.label for p in es.points]
+    labels = es.labels.tolist()
     assert labels.count("N") == 9
     assert labels.count("-N") == 9
     assert labels.count("Z") == 11
-    assert max(p.residual for p in es.points) <= 1e-12
+    assert np.max(es.residuals) <= 1e-12
     # the set is symmetric: negating an N point gives a -N point
     n_coords = es.coords_array(labels=["N"])
     neg_coords = es.coords_array(labels=["-N"])
     for c in n_coords:
         assert np.min(np.linalg.norm(neg_coords + c, axis=1)) < 1e-15
     # canonical order: values ascending
-    values = [p.value for p in es.points]
-    assert values == sorted(values)
+    assert np.all(np.diff(es.values) >= 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -137,42 +138,70 @@ def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
     assert calls == {"value_of": 1, "grad_of": 1}
     monkeypatch.undo()
 
-    assert len(es.points) == 2 * 3 ** n + 11
-    for p in es.points:
-        c = p.point.coords
-        assert p.value == float(model.value_of(c))
-        assert p.residual == model.space.norm(model.grad_of(c))
-        # no negative zeros: the t = -1 rows are built from negated signs
-        assert not np.any(np.signbit(c) & (c == 0.0))
-    assert es.points == sorted(es.points, key=lambda p: (p.value, tuple(p.point.coords)))
+    m = 2 * 3 ** n + 11
+    assert es.coords.shape == (m, n + 1)
+    assert len(es.values) == len(es.residuals) == len(es.labels) == len(es.patterns) == m
+    for c, value, residual in zip(es.coords, es.values, es.residuals):
+        assert value == float(model.value_of(c))
+        assert residual == model.space.norm(model.grad_of(c))
+    # no negative zeros: the t = -1 rows are built from negated signs
+    assert not np.any(np.signbit(es.coords) & (es.coords == 0.0))
+    keys = [(v, tuple(c)) for v, c in zip(es.values.tolist(), es.coords.tolist())]
+    assert keys == sorted(keys)
     # the all-zero patterns at t = +-1 duplicate the segment endpoints and
     # come before them
-    dups = [i for i, p in enumerate(es.points)
-            if p.label == "Z" and abs(p.point.coords[0]) == 1.0]
+    dups = np.flatnonzero((es.labels == "Z") & (np.abs(es.coords[:, 0]) == 1.0))
     assert len(dups) == 2
     for i in dups:
-        before = es.points[i - 1]
-        assert np.array_equal(before.point.coords, es.points[i].point.coords)
-        assert before.label == ("N" if before.point.coords[0] > 0 else "-N")
-        assert before.sign_pattern == "0" * n
+        assert np.array_equal(es.coords[i - 1], es.coords[i])
+        assert es.labels[i - 1] == ("N" if es.coords[i - 1, 0] > 0 else "-N")
+        assert es.patterns[i - 1] == "0" * n
+    # only the segment rows go without a pattern
+    assert [p is None for p in es.patterns] == (es.labels == "Z").tolist()
 
 
 def test_enumerated_branch_values_are_additive_across_mixed_signs():
     # at t = 1 a positive coordinate j adds -13.5 * 3^(-4j) to the value and
     # a negative one -(1/6) * 3^(-4j), whatever the other coordinates hold
     model = clark_model(n=3)
-    at_one = {p.sign_pattern: p for p in enumerate_critical_set(model, z_samples=11).points
-              if p.label == "N"}
+    es = enumerate_critical_set(model, z_samples=11)
+    at_one = {p: i for i, p in enumerate(es.patterns) if es.labels[i] == "N"}
     for pattern, expect, tol in (
             ("+00", -1.0 / 6.0, 1e-12),
             ("0-0", -(1.0 / 6.0) * 3.0 ** -8, 1e-15),
             ("-0+", -(1.0 / 6.0) * 3.0 ** -4 - 13.5 * 3.0 ** -12, 1e-14),
             ("+++", -13.5 * (3.0 ** -4 + 3.0 ** -8 + 3.0 ** -12), 1e-13)):
-        p = at_one[pattern]
-        assert p.value == pytest.approx(expect, abs=tol)
-        assert p.point.coords[0] == 1.0
-        assert p.residual <= 1e-12
-        assert classify_model_point(model, p.point.coords) == ("N", pattern)
+        i = at_one[pattern]
+        assert es.values[i] == pytest.approx(expect, abs=tol)
+        assert es.coords[i, 0] == 1.0
+        assert es.residuals[i] <= 1e-12
+        assert classify_model_point(model, es.coords[i]) == ("N", pattern)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_enumerated_branch_point_classifies_to_its_own_label_and_pattern(n):
+    model = clark_model(n=n)
+    es = enumerate_critical_set(model, z_samples=5)
+    labels, patterns = classify_model_point(model, es.coords)
+    # the all-zero pattern at t = +-1 is the segment's endpoint, so it (and
+    # every segment row) is classified Z with no pattern
+    on_axis = [p is None or p == "0" * n for p in es.patterns]
+    expect = [("Z", None) if axis else (lbl, p)
+              for axis, lbl, p in zip(on_axis, es.labels.tolist(), es.patterns)]
+    assert list(zip(labels, patterns)) == expect
+    assert sum(on_axis) == 2 + 5
+    # each face carries every sign pattern exactly once
+    every = sorted("".join(s) for s in itertools.product("+0-", repeat=n))
+    for face in ("N", "-N"):
+        assert sorted(p for p, lbl in zip(es.patterns, es.labels) if lbl == face) == every
+
+
+def test_enumeration_is_bounded_in_the_truncation_size():
+    big = clark_model(n=models.ENUMERATION_N_MAX + 1)
+    with pytest.raises(InvalidParams, match="enumerated up to"):
+        enumerate_critical_set(big, z_samples=3)
+    with pytest.raises(InvalidParams, match="enumerated up to"):
+        CriticalSetOracle(big)
 
 
 def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
@@ -215,6 +244,53 @@ def test_classification_recognizes_all_families():
     assert classify_model_point(model, np.array([0.37, 0.0, 0.0, 0.0])) == ("Z", None)
     label, _ = classify_model_point(model, np.array([0.5, 0.3, 0.0, 0.0]))
     assert label == "other"
+    # a batch gives a list of labels and a list of patterns, an empty one two
+    # empty lists
+    rows = np.stack([branch, -branch, np.array([0.37, 0.0, 0.0, 0.0])])
+    assert classify_model_point(model, rows) == (["N", "-N", "Z"], ["+0-", "-0+", None])
+    assert classify_model_point(model, np.empty((0, 4))) == ([], [])
+
+
+def _classify_one(coords, residual_tol):
+    """The per-point classifier the batched one replaced, kept as its
+    reference."""
+    def pattern(signs):
+        return "".join({1: "+", 0: "0", -1: "-"}[s] for s in signs)
+    t, x = coords[0], coords[1:]
+    if np.linalg.norm(x) < 10.0 * residual_tol and abs(t) <= 1.0 + models._FACE_T_TOL:
+        return "Z", None
+    signs = np.where(x > 10.0 * residual_tol, 1, np.where(x < -10.0 * residual_tol, -1, 0))
+    if abs(t - 1.0) <= models._FACE_T_TOL:
+        return "N", pattern(signs)
+    if abs(t + 1.0) <= models._FACE_T_TOL:
+        return "-N", pattern(signs)
+    return "other", pattern(signs)
+
+
+_FACE_EDGE = 1.0 + models._FACE_T_TOL
+# t on the faces, just inside and outside their tolerance, on the zero
+# segment and anywhere; x tiny (around the 10 * residual_tol cut) or not
+_CLASSIFY_T = st.one_of(
+    st.sampled_from([1.0, -1.0, _FACE_EDGE, -_FACE_EDGE, 1.0 - models._FACE_T_TOL,
+                     -1.0 + models._FACE_T_TOL, np.nextafter(_FACE_EDGE, 2.0),
+                     -np.nextafter(_FACE_EDGE, 2.0), 0.0]),
+    st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+_CLASSIFY_X = st.one_of(st.sampled_from([0.0, 10.0 * 1e-8, -10.0 * 1e-8, 10.0 * 1e-6]),
+                        st.floats(-2e-7, 2e-7), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), tol=st.sampled_from([1e-8, 1e-6]), data=st.data())
+def test_batched_classification_equals_the_per_point_one(n, tol, data):
+    m = data.draw(st.integers(0, 6))
+    rows = np.array([[data.draw(_CLASSIFY_T)] + data.draw(st.lists(_CLASSIFY_X, min_size=n,
+                                                                   max_size=n))
+                     for _ in range(m)]).reshape(m, n + 1)
+    model = clark_model(n=n)
+    labels, patterns = classify_model_point(model, rows, tol)
+    expect = [_classify_one(r, tol) for r in rows]
+    assert list(zip(labels, patterns)) == expect
+    assert [classify_model_point(model, r, tol) for r in rows] == expect
 
 
 def test_interior_exclusion_margins_and_flow_crosscheck():

@@ -235,15 +235,21 @@ def test_an_empty_batch_gives_no_rows(f):
     assert gradient_flow_solve_batch(f, np.empty((0, f.space.dim)), SolveConfig()) == []
 
 
-def test_a_nan_seed_stalls_at_once_and_leaves_its_batch_mate_alone():
-    model = clark_model(n=2)
-    seeds = model_seed_sampler(model.params, np.random.default_rng(5), 2)
+@pytest.mark.parametrize("f, sampler", [
+    (clark_model(n=2), lambda f, rng: model_seed_sampler(f.params, rng, 2)),
+    (sublinear_energy(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.0, rng, 2)),
+    (wrapper_functional(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.5, rng, 2)),
+], ids=["model", "sublinear", "wrapper"])
+def test_a_nan_seed_stalls_at_once_and_leaves_its_batch_mate_alone(f, sampler):
+    seeds = sampler(f, np.random.default_rng(5))
     seeds[0, 1] = np.nan
+    cfg = SolveConfig(max_flow_time=50.0)
     with np.errstate(invalid="ignore"):
-        bad, good = gradient_flow_solve_batch(model, seeds, SolveConfig())
+        bad, good = gradient_flow_solve_batch(f, seeds, cfg)
     assert bad.stop == "stalled" and bad.steps == 0
     assert np.array_equal(bad.coords, seeds[0], equal_nan=True)
-    assert _same_row(good, gradient_flow_solve_batch(model, seeds[1], SolveConfig())[0])
+    assert good.steps > 0
+    assert _same_row(good, gradient_flow_solve_batch(f, seeds[1], cfg)[0])
 
 
 def test_invalid_config_rejected():
@@ -293,16 +299,35 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
     report = accumulation_scan(model, z, (-2.0, -1e-9), 80, SolveConfig(seed_rng=5))
     assert report.n_seeds == 80
     assert report.n_converged == 80
-    assert len(report.entries) > 0
-    for e in report.entries:
-        assert -2.0 < e.value < -1e-9
-        assert e.label in ("N", "-N")
-        assert e.residual <= 1e-8
-        assert oracle.distance(e.coords) < 1e-6
-        assert e.dist_to_k0hat == pytest.approx(
-            float(np.min(np.linalg.norm(z - e.coords, axis=1))))
-    values = [e.value for e in report.entries]
-    assert values == sorted(values)
+    m = len(report.values)
+    assert m > 0
+    assert report.coords.shape == (m, 3)
+    assert len(report.residuals) == len(report.dist_to_k0hat) == m
+    assert len(report.labels) == len(report.patterns) == m
+    for c, value, residual, dist, label in zip(report.coords, report.values, report.residuals,
+                                               report.dist_to_k0hat, report.labels):
+        assert -2.0 < value < -1e-9
+        assert label in ("N", "-N")
+        assert residual <= 1e-8
+        assert oracle.distance(c) < 1e-6
+        assert dist == float(np.min(np.linalg.norm(z - c, axis=1)))
+    assert list(zip(report.labels, report.patterns)) == [
+        classify_model_point(model, c, 1e-8) for c in report.coords]
+    keys = [(v, tuple(c)) for v, c in zip(report.values.tolist(), report.coords.tolist())]
+    assert keys == sorted(keys)
+
+
+def test_an_empty_window_gives_an_empty_report():
+    model = clark_model(n=2)
+    z = np.zeros((11, 3))
+    z[:, 0] = np.linspace(-1.0, 1.0, 11)
+    report = accumulation_scan(model, z, (-1e-300, -1e-301), 20, SolveConfig(seed_rng=1))
+    assert report.n_converged > 0
+    assert report.coords.shape == (0, 3)
+    for column in (report.values, report.residuals, report.dist_to_k0hat):
+        assert column.shape == (0,)
+    assert report.labels == [] and report.patterns == []
+    assert report.to_json_dict()["entries"] == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -314,10 +339,8 @@ def test_scan_is_deterministic_for_a_fixed_seed(seed):
     a = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
     b = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
     assert a.n_converged == b.n_converged
-    assert len(a.entries) == len(b.entries)
-    for ea, eb in zip(a.entries, b.entries):
-        assert np.array_equal(ea.coords, eb.coords)
-        assert ea.value == eb.value
+    assert np.array_equal(a.coords, b.coords)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_scan_threads_produce_the_same_report():
@@ -326,9 +349,8 @@ def test_scan_threads_produce_the_same_report():
     z[:, 0] = np.linspace(-1.0, 1.0, 11)
     a = accumulation_scan(model, z, (-1.0, -1e-12), 40, SolveConfig(seed_rng=2))
     b = accumulation_scan(model, z, (-1.0, -1e-12), 40, SolveConfig(seed_rng=2), threads=4)
-    assert len(a.entries) == len(b.entries)
-    for ea, eb in zip(a.entries, b.entries):
-        assert np.allclose(ea.coords, eb.coords, atol=0.0)
+    assert a.coords.shape == b.coords.shape
+    assert np.allclose(a.coords, b.coords, atol=0.0)
 
 
 def test_scan_rejects_bad_windows():
