@@ -60,7 +60,8 @@ def _rhs(t, y, p):
 
 def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
     """Integrate from u(0)=0, u'(0)=slope with dense output and
-    zero-crossing detection up to t_max."""
+    zero-crossing detection up to t_max.  The crossing times may be empty;
+    the events do not change the integrator's steps."""
     _check_p(p)
     if slope == 0.0:
         raise InvalidParams("slope must be nonzero")
@@ -76,8 +77,6 @@ def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
                     args=(p,))
     times = sol.t_events[0]
     times = times[times > 1e-12]  # the launch point itself is a zero
-    if times.size == 0:
-        raise NoCrossing(f"no return to zero before t_max = {t_max}")
     return Trajectory(crossing_times=times, sol=sol.sol)
 
 
@@ -96,22 +95,15 @@ class BaseProfile:
         return self.alpha * self.t1 * self.traj.deriv(self.t1 * np.asarray(x, dtype=float))
 
 
-# base_profile shoots with horizon _SHOOT_T_MAX and doubles it after each
-# shot that finds no zero, for at most _MAX_ENLARGE shots
+# the horizon of the unit-slope shot: its first zero
+# t1 = 2 u_max B(1/(p+1), 1/2) / (p+1) runs from 2 (p -> 0) to pi (p -> 1)
 _SHOOT_T_MAX = 4.0
-_MAX_ENLARGE = 6
 
 
 def base_profile(p: float) -> BaseProfile:
-    t_max = _SHOOT_T_MAX
-    for _ in range(_MAX_ENLARGE):
-        try:
-            traj = shoot(p, 1.0, t_max)
-            break
-        except NoCrossing:
-            t_max *= 2.0
-    else:
-        raise NoCrossing(f"no zero crossing found up to t_max = {t_max}")
+    traj = shoot(p, 1.0, _SHOOT_T_MAX)
+    if traj.crossing_times.size == 0:
+        raise NoCrossing(f"no return to zero before t_max = {_SHOOT_T_MAX}")
     t1 = float(traj.crossing_times[0])
     return BaseProfile(t1=t1, alpha=t1 ** (2.0 / (p - 1.0)), traj=traj)
 
@@ -188,11 +180,8 @@ def reshoot_values(p: float, k: int, grid: H01Grid | None = None) -> np.ndarray:
     initial slope over all of [0,1] (no rescaling afterwards) and sample
     the grid abscissae.  Scaling exactness means this should match the
     compressed construction to integrator accuracy."""
-    _check_p(p)
     grid = grid or H01Grid(2000)
     prof = base_profile(p)
     slope_1 = prof.alpha * prof.t1     # u_1'(0)
     slope_k = float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1
-    sol = solve_ivp(_rhs, (0.0, 1.0), [0.0, slope_k], method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True, args=(p,))
-    return np.asarray(sol.sol(grid.grid))[0]
+    return shoot(p, slope_k, 1.0).value(grid.grid)

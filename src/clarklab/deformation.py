@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DeformationFailure,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .functionals import Functional
 from .spaces import L2Truncation, Point
-from .topology import Cloud
+from .topology import Cloud, nearest_distances
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +145,8 @@ def estimate_bounds(f: Functional, k0_cloud: Cloud, k0e_cloud: Cloud, r: float,
     values = np.asarray(f.value_of(u))
     grads = f.grad_of(u)
     residuals = np.asarray(f.space.norm(grads))
-    dist_k0 = np.minimum(cdist(u, k0_cloud.coords).min(axis=1),
-                         cdist(u, k0e_cloud.coords).min(axis=1))
-    dist_k0e = cdist(u, k0e_cloud.coords).min(axis=1)
+    dist_k0e = nearest_distances(u, k0e_cloud.coords)
+    dist_k0 = np.minimum(nearest_distances(u, k0_cloud.coords), dist_k0e)
 
     for rho in _RHO_LADDER:
         band = (values >= -rho) & (values <= 0.0) & (dist_k0 > r)
@@ -185,7 +183,7 @@ class DeformationSetup:
     def __post_init__(self):
         if not (0 < self.r <= self.delta0 / 3.0):
             raise InvalidParams("need 0 < r <= delta0/3")
-        sep = float(cdist(self.k0i.coords, self.k0e.coords).min())
+        sep = float(nearest_distances(self.k0i.coords, self.k0e.coords).min())
         if sep < 2.0 * self.delta0 - 1e-12:
             raise InvalidParams(
                 f"cluster separation {sep:.6f} below 2*delta0 = {2 * self.delta0:.6f}")
@@ -212,7 +210,11 @@ class DeformationSetup:
 
 def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float, r: float,
                bounds: BoundsEstimate) -> DeformationSetup:
-    """The deformation setup at d = min(rho, nu*r)/3 and eps = d/2."""
+    """The deformation setup at d = min(rho, nu*r)/3 and eps = d/2.  The
+    bounds must have been sampled at the same r: nu_eps excludes bounds.r
+    around the exterior cluster."""
+    if r != bounds.r:
+        raise InvalidParams(f"r = {r} differs from the r = {bounds.r} the bounds were sampled at")
     d = min(bounds.rho, bounds.nu * r) / 3.0
     eps = d / 2.0
     return DeformationSetup(f=f, k0i=k0i, k0e=k0e, delta0=delta0, r=r,
@@ -225,7 +227,7 @@ def _field_batch(setup: DeformationSetup, u: np.ndarray) -> np.ndarray:
     Exactly zero wherever either cutoff is zero."""
     vals = np.atleast_1d(setup.f.value_of(u))
     phi1 = np.clip((vals + 2.0 * setup.d) / setup.d, 0.0, 1.0)
-    dist = cdist(u, setup.k0e.coords).min(axis=1)
+    dist = nearest_distances(u, setup.k0e.coords)
     phi2 = np.clip((dist - setup.r) / setup.r, 0.0, 1.0)
     amp = phi1 * phi2
     out = np.zeros_like(u)
@@ -320,7 +322,7 @@ def flow(setup: DeformationSetup, u: Point, t_final: float) -> FlowTrace:
 
 def _meets_contract(setup, rows, slack=1e-9):
     vals = np.atleast_1d(setup.f.value_of(rows))
-    dist = cdist(rows, setup.k0e.coords).min(axis=1)
+    dist = nearest_distances(rows, setup.k0e.coords)
     return (vals <= -setup.d + slack) | (dist < 3.0 * setup.r)
 
 
@@ -339,7 +341,7 @@ def eta_epsilon_batch(setup: DeformationSetup, seeds: np.ndarray):
         raise DeformationFailure(
             f"deformation output of seed {i} {seeds[i].tolist()} has "
             f"I = {float(setup.f.value_of(out[i])):.6f} > -d and sits "
-            f"{float(cdist(out[i:i + 1], setup.k0e.coords).min()):.6f} from the "
+            f"{float(nearest_distances(out[i], setup.k0e.coords)[0]):.6f} from the "
             f"exterior cluster (3r = {3 * setup.r:.6f}); the sampled nu_eps "
             "was too optimistic",
             trace=flow(setup, Point(seeds[i], setup.f.space), setup.t_eps))

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import InvalidParams
 from .functionals import Functional
 from .spaces import H01Grid, L2Truncation
+from .topology import nearest_distances
 
 LABEL_Z = "Z"
 LABEL_N = "N"
@@ -244,23 +245,6 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
                                  patterns=patterns[order].tolist())
 
 
-# a distance batch is cut into row blocks whose (rows, cloud, dim)
-# difference tensor holds about _DIFF_BLOCK floats (256 KB), so its memory
-# does not grow with the number of rows
-_DIFF_BLOCK = 1 << 15
-
-
-def _min_distances(coords, cloud):
-    """Euclidean distance from each row of ``coords`` to its nearest row of
-    ``cloud``, one row block at a time."""
-    step = max(1, _DIFF_BLOCK // cloud.size)
-    out = np.empty(len(coords))
-    for s in range(0, len(coords), step):
-        diff = coords[s:s + step, None, :] - cloud[None, :, :]
-        out[s:s + step] = np.min(np.linalg.norm(diff, axis=2), axis=1)
-    return out
-
-
 class CriticalSetOracle:
     """Distance queries against the closed-form critical set."""
 
@@ -275,7 +259,7 @@ class CriticalSetOracle:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
         seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
-        out = np.minimum(seg, _min_distances(coords, self._branches))
+        out = np.minimum(seg, nearest_distances(coords, self._branches))
         return float(out[0]) if single else out
 
 

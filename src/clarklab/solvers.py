@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .models import ClarkModel, ModelParams, _min_distances, classify_model_point
+from .models import ClarkModel, ModelParams, classify_model_point
+from .topology import nearest_distances
 
 
 @dataclass(frozen=True)
@@ -285,5 +286,5 @@ def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
     labels, patterns = classify_model_point(model, coords, cfg.residual_tol)
     return AccumulationReport(window=(lo, hi), n_seeds=n_seeds, n_converged=len(converged),
                               coords=coords, values=values, residuals=residuals,
-                              dist_to_k0hat=_min_distances(coords, k0hat),
+                              dist_to_k0hat=nearest_distances(coords, k0hat),
                               labels=labels, patterns=patterns)

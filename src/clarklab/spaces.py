@@ -105,18 +105,11 @@ class H01Grid:
         du = self._cell_differences(u)
         return np.sqrt(np.sum(du * du, axis=-1) / self.mesh_width)
 
-    def stiffness_apply(self, u):
-        """A u with A = (1/h) tridiag(-1, 2, -1); the map from Riesz
-        representatives to coordinate partial derivatives."""
-        u = np.asarray(u, dtype=float)
-        h = self.mesh_width
-        padded = np.concatenate(
-            [np.zeros(u.shape[:-1] + (1,)), u, np.zeros(u.shape[:-1] + (1,))], axis=-1
-        )
-        return (2.0 * u - padded[..., :-2] - padded[..., 2:]) / h
-
     def to_dual(self, g):
-        return self.stiffness_apply(g)
+        """A g with A = (1/h) tridiag(-1, 2, -1): the coordinate partial
+        derivatives of a functional whose Riesz gradient is g."""
+        dg = self._cell_differences(g)
+        return (dg[..., :-1] - dg[..., 1:]) / self.mesh_width
 
     def riesz_of_load(self, f):
         """Riesz representative of the L2 load v -> integral(f v), where the

@@ -12,6 +12,9 @@ All scales of a schedule come from one finest-first pass over one
 KD-tree.  A coarser scale only adds edges, and an edge inside one
 component changes nothing, so it queries only the points outside the
 largest component, block by block, and merges the labels they join.
+
+Distances from rows to their nearest cloud point come from one blocked
+routine, ``nearest_distances``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidParams, OriginMissing
 
@@ -29,6 +33,23 @@ SYMMETRY_TOL = 1e-12
 ORIGIN_TOL = 1e-12
 # outside points per neighbour query: bounds the pairs held at once
 QUERY_BLOCK = 1024
+# rows x points distances per nearest_distances block: bounds the memory
+_DIST_BLOCK = 1 << 15
+
+
+def nearest_distances(rows, points):
+    """Euclidean distance from each row to its nearest point, one row block
+    at a time.  Each distance is computed on its own, so a row's result does
+    not depend on the block it falls in."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not len(points):
+        raise InvalidParams("a nearest distance needs at least one point")
+    step = max(1, _DIST_BLOCK // len(points))
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), step):
+        out[s:s + step] = cdist(rows[s:s + step], points).min(axis=1)
+    return out
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from clarklab import bvp
 from clarklab.bvp import (
     base_profile,
     energy_scaling_exponent,
@@ -47,9 +48,20 @@ def test_crossing_time_scales_with_the_slope():
             t1 * slope ** ((1.0 - p) / (1.0 + p)), rel=1e-7)
 
 
-def test_shoot_reports_missing_crossings():
+def test_shoot_reports_missing_crossings(monkeypatch):
+    # the arc needs ~2.85 time units: a shorter shot has no crossing, and
+    # only the base profile, which needs one, raises
+    assert shoot(0.5, 1.0, t_max=1.0).crossing_times.size == 0
+    monkeypatch.setattr(bvp, "_SHOOT_T_MAX", 1.0)
     with pytest.raises(NoCrossing):
-        shoot(0.5, 1.0, t_max=1.0)  # the arc needs ~2.85 time units
+        base_profile(0.5)
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.5, 1.0 - 1e-6])
+def test_the_shoot_horizon_covers_the_first_crossing_for_every_p(p):
+    # t1 runs from 2 (u'' = -1) to pi (u'' = -u) over p in (0, 1)
+    assert 2.0 < exact_first_crossing(p) < np.pi
+    assert exact_first_crossing(p) < bvp._SHOOT_T_MAX
 
 
 def test_trajectory_vanishes_at_the_reported_crossings():

@@ -106,6 +106,19 @@ def test_setup_invariants_are_enforced():
         replace(setup, nu_eps=setup.nu * 2.0)
 
 
+def test_setup_rejects_bounds_sampled_at_another_r():
+    # nu_eps excludes bounds.r around the exterior cluster, so a setup at
+    # any other r would rest on bounds sampled for other geometry
+    f, k0i, k0e, delta0 = two_cluster_setup_clouds(32)
+    r = delta0 / 3.0
+    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
+    bounds = estimate_bounds(f, k0_all, k0e, r, SampleSpec(budget=6000, rng_seed=0))
+    for other in (0.5 * r, np.nextafter(r, 0.0)):
+        with pytest.raises(InvalidParams):
+            make_setup(f, k0i, k0e, delta0, other, bounds)
+    assert make_setup(f, k0i, k0e, delta0, r, bounds).r == r
+
+
 # ---------------------------------------------------------------------------
 # the cutoff field
 

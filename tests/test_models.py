@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from clarklab import models
+from clarklab import models, topology
 from clarklab.deformation import TwoClusterFunctional
 
 from clarklab.errors import InvalidParams
@@ -218,10 +218,10 @@ def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
 
 @pytest.mark.parametrize("block", [1, 1000, 1 << 15])
 def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
-    # the batch is cut into row blocks of the difference tensor (here one row,
-    # four rows with a ragged last block, or one block); every cut must give
-    # the single-row bytes
-    monkeypatch.setattr(models, "_DIFF_BLOCK", block)
+    # the batch is cut into row blocks of the 54 branch-point distances (here
+    # one row, 18 rows with a ragged last block, or one block); every cut
+    # must give the single-row bytes
+    monkeypatch.setattr(topology, "_DIST_BLOCK", block)
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
     rows = np.random.default_rng(5).normal(scale=0.7, size=(37, 4))
@@ -316,7 +316,7 @@ def test_sublinear_gradient_zeros_match_difference_scheme():
     rng = np.random.default_rng(7)
     u = 0.1 + 0.05 * rng.random(30)
     g = f.grad_of(u)
-    lhs = grid.stiffness_apply(u - g)
+    lhs = grid.to_dual(u - g)
     rhs = grid.mesh_width * np.sign(u) * np.abs(u) ** 0.5
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 

@@ -63,3 +63,17 @@ def test_every_public_name_is_reached_outside_unit_tests():
     unreached = [label for label, name, _ in defs
                  if not name.startswith("_") and label not in reached]
     assert not unreached, "named only by unit tests: " + ", ".join(unreached)
+
+
+def test_one_routine_measures_nearest_distances_and_one_shoots_the_ode():
+    # each job has one implementation: cdist and solve_ivp are each named by
+    # exactly one function of the package, and by no module-level code
+    users = {"cdist": [], "solve_ivp": []}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        found = [(path.stem, _uses(tree, skip=tops))]
+        found += [(f"{path.stem}.{label}", uses) for label, _, uses in _definitions(tree)]
+        for name, where in users.items():
+            where += [label for label, uses in found if name in uses]
+    assert users == {"cdist": ["topology.nearest_distances"], "solve_ivp": ["bvp.shoot"]}

@@ -14,6 +14,7 @@ from clarklab.topology import (
     Cloud,
     _labels_down,
     components,
+    nearest_distances,
     origin_component_stabilization,
 )
 
@@ -22,6 +23,24 @@ def gap_cloud():
     # {0} plus the segment [0.5, 1.0] sampled at 0.01 on the line
     seg = np.arange(0.5, 1.0 + 1e-12, 0.01)
     return Cloud(np.concatenate([[0.0], seg])[:, None])
+
+
+# ---------------------------------------------------------------------------
+# nearest distances
+
+def test_nearest_distances_match_the_pairwise_minimum_in_every_block(monkeypatch):
+    rng = np.random.default_rng(2)
+    rows, points = rng.normal(size=(50, 3)), rng.normal(size=(7, 3))
+    pairwise = np.linalg.norm(rows[:, None, :] - points[None, :, :], axis=2)
+    whole = nearest_distances(rows, points)
+    assert np.allclose(whole, pairwise.min(axis=1), rtol=1e-15, atol=0.0)
+    # one row per block, or 4 rows with a ragged last block: the same bytes
+    for block in (1, 30):
+        monkeypatch.setattr(topology, "_DIST_BLOCK", block)
+        assert nearest_distances(rows, points).tobytes() == whole.tobytes()
+    assert nearest_distances(np.zeros((0, 3)), points).shape == (0,)
+    with pytest.raises(InvalidParams):
+        nearest_distances(rows, np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------------------
