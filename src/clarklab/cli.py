@@ -144,7 +144,7 @@ def _write_json(path: Path, obj):
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (results dict, checks dict, csv files dict)
+# experiments: each writes its own CSV files and returns (results, checks)
 
 def _run_enumerate(ns, out: Path):
     model = clark_model(n=ns.n)
@@ -213,13 +213,12 @@ def _run_deform(ns, out: Path):
         seeds.extend(cand[f.value_of(cand) <= -setup.eps].tolist())
     seeds = np.array(seeds[: ns.samples])
 
-    terminals, max_uptick, max_speed = eta_epsilon_batch(setup, seeds)
-
-    # eta is odd when the time-T images of s and -s cancel
-    pairs = seeds[: ns.odd_pairs]
-    odd_out, _, _ = eta_epsilon_batch(setup, np.concatenate([pairs, -pairs]))
-    k = len(pairs)
-    odd_dev = float(np.max(np.abs(odd_out[:k] + odd_out[k:])))
+    # eta is odd when the time-T images of s and -s cancel; the mirrors of the
+    # first k seeds ride in the flow, and as the field is odd they keep its steps
+    k = min(ns.odd_pairs, len(seeds))
+    moved, max_uptick, max_speed = eta_epsilon_batch(setup, np.concatenate([seeds, -seeds[:k]]))
+    terminals = moved[: len(seeds)]
+    odd_dev = float(np.max(np.abs(moved[:k] + moved[len(seeds):])))
 
     results = {
         "setup": setup.to_json_dict(),

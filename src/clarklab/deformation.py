@@ -222,9 +222,9 @@ def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float, r: float,
                             nu_eps=bounds.nu_eps(eps), d=d, eps=eps)
 
 
-def _field_batch(setup: DeformationSetup, u: np.ndarray) -> np.ndarray:
-    """Cutoff descent field on a batch of rows: phi1 * phi2 * grad/|grad|.
-    Exactly zero wherever either cutoff is zero."""
+def _field_batch(setup: DeformationSetup, u: np.ndarray):
+    """Cutoff descent field phi1 * phi2 * grad/|grad| on a batch of rows,
+    exactly zero wherever either cutoff is, and the values that gate it."""
     vals = np.atleast_1d(setup.f.value_of(u))
     phi1 = np.clip((vals + 2.0 * setup.d) / setup.d, 0.0, 1.0)
     dist = nearest_distances(u, setup.k0e.coords)
@@ -240,7 +240,7 @@ def _field_batch(setup: DeformationSetup, u: np.ndarray) -> np.ndarray:
                 "vanishing gradient inside the active region; the sampled "
                 "nu bound was wrong for this functional")
         out[active] = (amp[active] / gn)[:, None] * g
-    return out
+    return out, vals
 
 
 # ---------------------------------------------------------------------------
@@ -253,53 +253,53 @@ class FlowTrace:
     energies: np.ndarray
 
 
-def _rk4_step(setup, u, h):
-    k1 = -_field_batch(setup, u)
-    k2 = -_field_batch(setup, u + 0.5 * h * k1)
-    k3 = -_field_batch(setup, u + 0.5 * h * k2)
-    k4 = -_field_batch(setup, u + h * k3)
+def _rk4_step(setup, u, h, k1):
+    k2 = -_field_batch(setup, u + 0.5 * h * k1)[0]
+    k3 = -_field_batch(setup, u + 0.5 * h * k2)[0]
+    k4 = -_field_batch(setup, u + h * k3)[0]
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # largest entry of full - half that an RK4 step-doubling step may leave
 _ERR_TOL = 1e-11
+# how far above -d a deformed value may sit and still meet the contract
+_CONTRACT_SLACK = 1e-9
 
 
 def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace=None):
     """Integrate all rows to t_final with RK4 step-doubling control on a
     shared step: a step is accepted when the largest entry of full - half
     is within _ERR_TOL, and the integration fails only when a step at
-    h <= 1e-12 still misses it.  Returns the terminal rows plus the worst
-    energy uptick and speed ratio seen across the whole batch.  A list
-    passed as ``trace`` receives (time, rows, energies) at the start and
-    after every accepted step."""
+    h <= 1e-12 still misses it.  One evaluation per point gives its field
+    and energy.  Returns the terminal rows plus the worst energy uptick and
+    speed ratio of the batch (0.0 for no rows).  A list passed as ``trace``
+    receives (time, rows, energies) at the start and after each accepted step."""
     if t_final < 0:
         raise InvalidParams("flow time must be nonnegative")
     u = np.atleast_2d(np.array(seeds, dtype=float))
-    h_max = 0.01 * setup.r
-    h = h_max
+    h = h_max = 0.01 * setup.r
     t = 0.0
-    energy = np.atleast_1d(setup.f.value_of(u))
+    field, energy = _field_batch(setup, u)
     if trace is not None:
         trace.append((t, u, energy))
-    max_uptick = 0.0
-    max_speed = 0.0
+    max_uptick = max_speed = 0.0
     while t < t_final - 1e-15:
         h = min(h, t_final - t)
-        full = _rk4_step(setup, u, h)
-        half = _rk4_step(setup, _rk4_step(setup, u, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.abs(full - half)))
+        full = _rk4_step(setup, u, h, -field)
+        mid = _rk4_step(setup, u, 0.5 * h, -field)
+        half = _rk4_step(setup, mid, 0.5 * h, -_field_batch(setup, mid)[0])
+        err = float(np.max(np.abs(full - half), initial=0.0))
         if err > _ERR_TOL:
             if h <= 1e-12:
                 raise IntegrationError(f"step size collapsed at t = {t:.6f}")
             h *= 0.5
             continue
         step_len = np.linalg.norm(half - u, axis=1)
-        max_speed = max(max_speed, float(np.max(step_len)) / h)
+        max_speed = max(max_speed, float(np.max(step_len, initial=0.0)) / h)
         u = half
         t += h
-        e_new = np.atleast_1d(setup.f.value_of(u))
-        max_uptick = max(max_uptick, float(np.max(e_new - energy)))
+        field, e_new = _field_batch(setup, u)
+        max_uptick = max(max_uptick, float(np.max(e_new - energy, initial=0.0)))
         energy = e_new
         if trace is not None:
             trace.append((t, u, energy))
@@ -320,10 +320,10 @@ def flow(setup: DeformationSetup, u: Point, t_final: float) -> FlowTrace:
                      energies=np.array([float(e[0]) for _, _, e in trace]))
 
 
-def _meets_contract(setup, rows, slack=1e-9):
+def _meets_contract(setup, rows):
     vals = np.atleast_1d(setup.f.value_of(rows))
     dist = nearest_distances(rows, setup.k0e.coords)
-    return (vals <= -setup.d + slack) | (dist < 3.0 * setup.r)
+    return (vals <= -setup.d + _CONTRACT_SLACK) | (dist < 3.0 * setup.r)
 
 
 def eta_epsilon_batch(setup: DeformationSetup, seeds: np.ndarray):

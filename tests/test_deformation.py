@@ -2,6 +2,8 @@ import argparse
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from clarklab import cli, deformation
@@ -18,7 +20,7 @@ from clarklab.deformation import (
     make_setup,
     two_cluster_setup_clouds,
 )
-from clarklab.errors import DeformationFailure, InvalidParams
+from clarklab.errors import DeformationFailure, IntegrationError, InvalidParams
 from clarklab.spaces import Point
 from clarklab.topology import Cloud
 
@@ -126,14 +128,15 @@ def test_pseudo_gradient_is_odd_unit_capped_and_cut_off():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(1)
     seeds = in_band_seeds(f, setup.eps, 40, rng)
-    v = _field_batch(setup, seeds)
-    assert np.array_equal(v, -_field_batch(setup, -seeds))
+    v, vals = _field_batch(setup, seeds)
+    assert np.array_equal(v, -_field_batch(setup, -seeds)[0])
+    assert np.array_equal(vals, f.value_of(seeds))
     assert np.all(np.linalg.norm(v, axis=1) <= 1.0 + 1e-12)
     # the field vanishes deep below the band and next to the exterior cluster
     deep = np.array([[0.55, 0.0]])  # value ~ -0.25 < -2d
     assert float(f.value_of(deep[0])) < -2.0 * setup.d
     near = 0.95 * k0e.coords[:1]    # 0.05 < r from the unit circle
-    assert np.array_equal(_field_batch(setup, np.concatenate([deep, near])),
+    assert np.array_equal(_field_batch(setup, np.concatenate([deep, near]))[0],
                           np.zeros((2, 2)))
 
 
@@ -141,7 +144,7 @@ def test_field_descends_where_active():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(2)
     seeds = in_band_seeds(f, setup.eps, 30, rng)
-    v = _field_batch(setup, seeds)
+    v = _field_batch(setup, seeds)[0]
     active = np.linalg.norm(v, axis=1) > 0
     # moving along -v decreases I
     assert np.all(np.sum(f.grad_of(seeds[active]) * v[active], axis=1) > 0.0)
@@ -232,7 +235,7 @@ def test_batched_eta_is_exactly_odd_on_stacked_pairs():
 
 
 @pytest.mark.parametrize("odd_pairs", [1, 5, 30])
-def test_deform_runs_two_batch_flows_at_any_pair_count(tmp_path, monkeypatch, odd_pairs):
+def test_deform_runs_one_batch_flow_at_any_pair_count(tmp_path, monkeypatch, odd_pairs):
     calls = []
     real = deformation.flow_batch
 
@@ -244,8 +247,9 @@ def test_deform_runs_two_batch_flows_at_any_pair_count(tmp_path, monkeypatch, od
     ns = argparse.Namespace(samples=20, circle_samples=32, odd_pairs=odd_pairs,
                             budget=4000, seed=0)
     results, checks = cli._run_deform(ns, tmp_path)
-    # the deformed sample, then the stacked pairs (capped at the sample size)
-    assert calls == [20, 2 * min(odd_pairs, 20)]
+    # the deformed sample followed by the mirrors of its first seeds
+    # (capped at the sample size), in one flow
+    assert calls == [20 + min(odd_pairs, 20)]
     assert results["oddness_deviation"] == 0.0
     assert all(checks.values())
 
@@ -286,3 +290,160 @@ def test_a_contract_violation_raises_with_the_offending_seeds_trace(monkeypatch)
     assert isinstance(trace, FlowTrace)
     assert np.array_equal(trace.points[0], seeds[i])
     assert trace.times[-1] == pytest.approx(setup.t_eps, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the flow loop against its unfused reference
+
+def _unfused_flow_reference(setup, seeds, t_final, trace):
+    """The flow loop as written before it held its point's field: four
+    field calls per RK4 step, so twelve per step-doubling attempt, and a
+    separate value_of for each accepted point's energy.  Returns the
+    flow_batch triple and the number of attempts."""
+    def rk4(u, h):
+        k1 = -_field_batch(setup, u)[0]
+        k2 = -_field_batch(setup, u + 0.5 * h * k1)[0]
+        k3 = -_field_batch(setup, u + 0.5 * h * k2)[0]
+        k4 = -_field_batch(setup, u + h * k3)[0]
+        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    u = np.atleast_2d(np.array(seeds, dtype=float))
+    h_max = 0.01 * setup.r
+    h = h_max
+    t = 0.0
+    attempts = 0
+    energy = np.atleast_1d(setup.f.value_of(u))
+    trace.append((t, u, energy))
+    max_uptick = 0.0
+    max_speed = 0.0
+    while t < t_final - 1e-15:
+        h = min(h, t_final - t)
+        attempts += 1
+        full = rk4(u, h)
+        half = rk4(rk4(u, 0.5 * h), 0.5 * h)
+        err = float(np.max(np.abs(full - half)))
+        if err > deformation._ERR_TOL:
+            if h <= 1e-12:
+                raise IntegrationError(f"step size collapsed at t = {t:.6f}")
+            h *= 0.5
+            continue
+        step_len = np.linalg.norm(half - u, axis=1)
+        max_speed = max(max_speed, float(np.max(step_len)) / h)
+        u = half
+        t += h
+        e_new = np.atleast_1d(setup.f.value_of(u))
+        max_uptick = max(max_uptick, float(np.max(e_new - energy)))
+        energy = e_new
+        trace.append((t, u, energy))
+        if err < 0.1 * deformation._ERR_TOL:
+            h = min(h * 1.5, h_max)
+    return (u, max_uptick, max_speed), attempts
+
+
+_SETUP = build_setup()[4]
+
+# radius bands of the test setup (d ~ 0.029, r = 1/6, a 32-point circle):
+# "deep" rows sit at I ~ -0.24 <= -2d and "near" rows within r of the
+# circle samples, so both are frozen; "moving" rows sit near the origin or
+# just inside the sqrt(2) circle, where both cutoffs are positive
+_BANDS = {"deep": (0.5, 0.6), "near": (0.97, 1.03),
+          "moving": (0.03, 0.12), "outer": (1.405, 1.414)}
+
+
+@st.composite
+def _seed_sets(draw, max_rows=6):
+    """Seed rows of every kind in one batch, the first few of them
+    optionally followed by their mirror images."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(sorted(_BANDS)),
+                                   st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi)),
+                         min_size=1, max_size=max_rows))
+    seeds = np.array([(_BANDS[k][0] + frac * (_BANDS[k][1] - _BANDS[k][0]))
+                      * np.array([np.cos(a), np.sin(a)]) for k, frac, a in rows])
+    kinds = [k for k, _, _ in rows]
+    frozen = np.array([k in ("deep", "near") for k in kinds])
+    mirrored = draw(st.integers(0, len(seeds)))
+    seeds = np.concatenate([seeds, -seeds[:mirrored]])
+    frozen = np.concatenate([frozen, frozen[:mirrored]])
+    return seeds, frozen
+
+
+# flow times are a fraction of t_eps, so an example takes tens of steps
+_FLOW_TIMES = st.floats(0.0, 0.25).map(lambda frac: frac * _SETUP.t_eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_seed_sets(), t_final=_FLOW_TIMES)
+def test_flow_batch_equals_the_unfused_reference_bit_for_bit(case, t_final):
+    seeds, frozen = case
+    field, _ = _field_batch(_SETUP, seeds)
+    assert not np.any(field[frozen])           # the strategy's frozen rows are frozen
+    ref_trace, trace = [], []
+    expected, _ = _unfused_flow_reference(_SETUP, seeds, t_final, ref_trace)
+    got = flow_batch(_SETUP, seeds, t_final, trace)
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:]
+    assert len(trace) == len(ref_trace)
+    for (t, rows, energy), (t_ref, rows_ref, energy_ref) in zip(trace, ref_trace):
+        assert t == t_ref
+        assert np.array_equal(rows, rows_ref)
+        assert np.array_equal(energy, energy_ref)
+    assert np.array_equal(got[0][frozen], seeds[frozen])
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_seed_sets(), t_final=_FLOW_TIMES)
+def test_flow_is_exactly_odd_and_energy_monotone(case, t_final):
+    seeds, _ = case
+    trace = []
+    out, uptick, speed = flow_batch(_SETUP, np.concatenate([seeds, -seeds]), t_final, trace)
+    n = len(seeds)
+    assert np.array_equal(out[:n], -out[n:])
+    # the mirrored seeds on their own take the same steps to the same images
+    alone, _, _ = flow_batch(_SETUP, -seeds, t_final)
+    assert np.array_equal(alone, out[n:])
+    energies = np.array([e for _, _, e in trace])
+    assert np.all(np.diff(energies, axis=0) <= 1e-12)
+    assert uptick <= 1e-12
+    assert speed <= 1.0 + 1e-8
+
+
+def test_a_flow_evaluates_each_point_once(monkeypatch):
+    seeds = np.array([[0.1, 0.0], [0.55, 0.0], [0.0, -1.41], [-0.1, 0.0]])
+    t_final = 0.3 * _SETUP.t_eps
+    ref_trace = []
+    _, attempts = _unfused_flow_reference(_SETUP, seeds, t_final, ref_trace)
+    accepted = len(ref_trace) - 1
+    assert attempts > accepted > 0
+    counts = {"field": 0, "value": 0}
+    real_field, real_value = deformation._field_batch, _SETUP.f.value_of
+
+    def counted_field(*args):
+        counts["field"] += 1
+        return real_field(*args)
+
+    def counted_value(*args):
+        counts["value"] += 1
+        return real_value(*args)
+
+    monkeypatch.setattr(deformation, "_field_batch", counted_field)
+    monkeypatch.setattr(_SETUP.f, "value_of", counted_value)
+    trace = []
+    flow_batch(_SETUP, seeds, t_final, trace)
+    assert len(trace) - 1 == accepted
+    # the start, ten calls per attempt (three per RK4 step from a given
+    # first stage, plus the midpoint's), one per accepted point
+    assert counts["field"] == 1 + 10 * attempts + accepted
+    # every energy comes out of a field call
+    assert counts["value"] == counts["field"]
+
+
+def test_an_empty_batch_flows_to_empty_rows():
+    empty = np.empty((0, 2))
+    trace = []
+    out, uptick, speed = flow_batch(_SETUP, empty, _SETUP.t_eps, trace)
+    assert out.shape == (0, 2)
+    assert (uptick, speed) == (0.0, 0.0)
+    assert trace[-1][0] == pytest.approx(_SETUP.t_eps, abs=1e-12)
+    out, uptick, speed = eta_epsilon_batch(_SETUP, empty)
+    assert out.shape == (0, 2)
+    assert (uptick, speed) == (0.0, 0.0)
