@@ -406,6 +406,8 @@ def main(argv=None) -> int:
         parser.error("threads must be positive")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
+    # enumerate builds the 2 * 3^n branch table; scan builds none, but its
+    # oracle check already fails from n = 4, so it keeps the same bound
     if ns.experiment in ("enumerate", "scan") and ns.n > ENUMERATION_N_MAX:
         parser.error(f"n must not exceed {ENUMERATION_N_MAX}")
 

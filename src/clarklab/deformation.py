@@ -224,22 +224,23 @@ def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float, r: float,
 
 def _field_batch(setup: DeformationSetup, u: np.ndarray):
     """Cutoff descent field phi1 * phi2 * grad/|grad| on a batch of rows,
-    exactly zero wherever either cutoff is, and the values that gate it."""
+    exactly zero wherever either cutoff is, and the values that gate it.
+    The exterior distance behind phi2 is measured only on the rows whose
+    energy ramp phi1 is open; elsewhere the product is 0 whatever it is."""
     vals = np.atleast_1d(setup.f.value_of(u))
-    phi1 = np.clip((vals + 2.0 * setup.d) / setup.d, 0.0, 1.0)
-    dist = nearest_distances(u, setup.k0e.coords)
-    phi2 = np.clip((dist - setup.r) / setup.r, 0.0, 1.0)
-    amp = phi1 * phi2
+    amp = np.clip((vals + 2.0 * setup.d) / setup.d, 0.0, 1.0)
+    live = np.flatnonzero(amp > 0.0)
+    dist = nearest_distances(u[live], setup.k0e.coords)
+    amp[live] *= np.clip((dist - setup.r) / setup.r, 0.0, 1.0)
+    active = np.flatnonzero(amp > 0.0)
+    g = setup.f.grad_of(u[active])
+    gn = np.atleast_1d(setup.f.space.norm(g))
+    if np.any(gn < 1e-14):
+        raise SetupInconsistent(
+            "vanishing gradient inside the active region; the sampled "
+            "nu bound was wrong for this functional")
     out = np.zeros_like(u)
-    active = amp > 0.0
-    if np.any(active):
-        g = setup.f.grad_of(u[active])
-        gn = np.atleast_1d(setup.f.space.norm(g))
-        if np.any(gn < 1e-14):
-            raise SetupInconsistent(
-                "vanishing gradient inside the active region; the sampled "
-                "nu bound was wrong for this functional")
-        out[active] = (amp[active] / gn)[:, None] * g
+    out[active] = (amp[active] / gn)[:, None] * g
     return out, vals
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from .errors import InvalidParams
 from .functionals import Functional
 from .spaces import H01Grid, L2Truncation
-from .topology import nearest_distances
 
 LABEL_Z = "Z"
 LABEL_N = "N"
@@ -246,20 +245,37 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
 
 
 class CriticalSetOracle:
-    """Distance queries against the closed-form critical set."""
+    """Distance queries against the closed-form critical set, exact at any n.
+
+    The branch points at t = 1 are a product set: coordinate j takes one of
+    3^(-2j) a_plus(1)^2, 0 and -3^(-2j) a_minus(1)^2, and the points at
+    t = -1 are their negations.  So the nearest branch point of a face takes
+    the nearest choice in each coordinate.  Rounding is monotone, so its
+    squared distance, summed in coordinate order as cdist sums, is the
+    smallest such sum over the face's 3^n points: the distance to the
+    whole table, in O(n) work per row.
+    """
 
     def __init__(self, model: ClarkModel):
-        self._branches = _branch_rows(model.params)[1]
+        pos, neg = model.params.branch_magnitudes(1.0)
+        self._choices = np.stack([pos, 0.0 * pos, -neg])
 
     def distance(self, coords):
-        """Min distance to the zero segment union the branch points; the
-        segment distance is exact (no sampling).  A 1-d point gives a float,
-        a (rows, n+1) batch an array of one distance per row."""
+        """Min distance to the zero segment union the branch points; both
+        are exact (no sampling).  A 1-d point gives a float, a (rows, n+1)
+        batch an array of one distance per row."""
         single = np.ndim(coords) == 1
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
         seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
-        out = np.minimum(seg, nearest_distances(coords, self._branches))
+        faces = []
+        for side in (1.0, -1.0):
+            sq = np.empty_like(coords)
+            sq[:, 0] = np.square(t - side)
+            sq[:, 1:] = np.min(np.square(x[:, None, :] - side * self._choices), axis=1)
+            # cumsum adds in coordinate order, as cdist does; np.sum may pair terms
+            faces.append(np.cumsum(sq, axis=1)[:, -1])
+        out = np.minimum(seg, np.sqrt(np.minimum(*faces)))
         return float(out[0]) if single else out
 
 

@@ -22,7 +22,7 @@ from clarklab.deformation import (
 )
 from clarklab.errors import DeformationFailure, IntegrationError, InvalidParams
 from clarklab.spaces import Point
-from clarklab.topology import Cloud
+from clarklab.topology import Cloud, nearest_distances
 
 
 def build_setup(circle_samples=32, budget=6000):
@@ -365,6 +365,68 @@ def _seed_sets(draw, max_rows=6):
     seeds = np.concatenate([seeds, -seeds[:mirrored]])
     frozen = np.concatenate([frozen, frozen[:mirrored]])
     return seeds, frozen
+
+
+def _field_reference(setup, u):
+    """The cutoff field as written before it skipped the exterior distance
+    on rows whose energy ramp is shut: both cutoffs on every row."""
+    vals = np.atleast_1d(setup.f.value_of(u))
+    phi1 = np.clip((vals + 2.0 * setup.d) / setup.d, 0.0, 1.0)
+    dist = nearest_distances(u, setup.k0e.coords)
+    phi2 = np.clip((dist - setup.r) / setup.r, 0.0, 1.0)
+    amp = phi1 * phi2
+    out = np.zeros_like(u)
+    active = amp > 0.0
+    if np.any(active):
+        g = setup.f.grad_of(u[active])
+        gn = np.atleast_1d(setup.f.space.norm(g))
+        out[active] = (amp[active] / gn)[:, None] * g
+    return out, vals
+
+
+# "ramp" rows sit at -2d < I < -d, where the energy cutoff lies strictly
+# between 0 and 1 and the exterior distance is past 2r
+_FIELD_BANDS = {**_BANDS, "ramp": (0.125, 0.175)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(sorted(_FIELD_BANDS) + ["nan"]),
+                               st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi)),
+                     max_size=8))
+def test_field_equals_the_unskipped_reference_byte_for_byte(rows):
+    u = np.array([np.full(2, np.nan) if k == "nan"
+                  else (_FIELD_BANDS[k][0] + frac * (_FIELD_BANDS[k][1] - _FIELD_BANDS[k][0]))
+                  * np.array([np.cos(a), np.sin(a)]) for k, frac, a in rows]).reshape(-1, 2)
+    field, vals = _field_batch(_SETUP, u)
+    ref_field, ref_vals = _field_reference(_SETUP, u)
+    assert field.tobytes() == ref_field.tobytes()
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert field.shape == u.shape
+    # a NaN row stays inactive with a zero field
+    assert not np.any(field[np.isnan(vals)])
+
+
+def test_the_field_measures_the_exterior_distance_only_where_the_energy_ramp_is_open(
+        monkeypatch):
+    angles = np.array([0.3, 1.9, 4.0, 2.5, 5.2])
+    radii = np.array([0.55, 0.58, 0.15, 0.52, 0.14])   # I <= -2d, except 2 and 4
+    u = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    vals = _SETUP.f.value_of(u)
+    shut = vals <= -2.0 * _SETUP.d
+    assert shut.tolist() == [True, True, False, True, False]
+    assert np.all(vals[~shut] < -_SETUP.d)
+    measured = []
+
+    def counted(rows, points):
+        measured.append(np.array(rows))
+        return nearest_distances(rows, points)
+
+    monkeypatch.setattr(deformation, "nearest_distances", counted)
+    field, _ = _field_batch(_SETUP, u)
+    assert len(measured) == 1
+    assert np.array_equal(measured[0], u[~shut])
+    assert not np.any(field[shut])
+    assert np.all(np.linalg.norm(field[~shut], axis=1) > 0.0)
 
 
 # flow times are a fraction of t_eps, so an example takes tens of steps

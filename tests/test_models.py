@@ -200,8 +200,20 @@ def test_enumeration_is_bounded_in_the_truncation_size():
     big = clark_model(n=models.ENUMERATION_N_MAX + 1)
     with pytest.raises(InvalidParams, match="enumerated up to"):
         enumerate_critical_set(big, z_samples=3)
-    with pytest.raises(InvalidParams, match="enumerated up to"):
-        CriticalSetOracle(big)
+    # the oracle builds no table, so it answers exactly above the bound: a
+    # branch point of each face is at 0, and a point 1e-3 off one along x_1
+    # (a zero coordinate of its pattern) at exactly 1e-3
+    for n in (models.ENUMERATION_N_MAX + 1, 40):
+        model = clark_model(n=n)
+        oracle = CriticalSetOracle(model)
+        pos, neg = model.params.branch_magnitudes(1.0)
+        pick = np.arange(n) % 3
+        at_one = np.r_[1.0, np.select([pick == 1, pick == 2], [pos, -neg], 0.0)]
+        members = np.stack([at_one, -at_one + 0.0])
+        assert oracle.distance(members).tolist() == [0.0, 0.0]
+        off = members.copy()
+        off[:, 1] = [1e-3, -1e-3]
+        assert oracle.distance(off).tolist() == [1e-3, 1e-3]
 
 
 def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
@@ -216,12 +228,7 @@ def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     assert oracle.distance(np.array([1.5, 0.0, 0.0, 0.0])) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("block", [1, 1000, 1 << 15])
-def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
-    # the batch is cut into row blocks of the 54 branch-point distances (here
-    # one row, 18 rows with a ragged last block, or one block); every cut
-    # must give the single-row bytes
-    monkeypatch.setattr(topology, "_DIST_BLOCK", block)
+def test_oracle_distance_batch_equals_its_single_rows():
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
     rows = np.random.default_rng(5).normal(scale=0.7, size=(37, 4))
@@ -234,6 +241,56 @@ def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
     assert isinstance(one, np.ndarray) and one.shape == (1,)
     assert one.tobytes() == single[:1].tobytes()
     assert all(isinstance(oracle.distance(r), float) for r in rows[:3])
+
+
+def _table_oracle_reference(model, coords):
+    """The oracle as written before it read the product structure: the exact
+    segment distance against a blocked cdist over all 2 * 3^n branch rows."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    t, x = coords[:, 0], coords[:, 1:]
+    seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
+    return np.minimum(seg, topology.nearest_distances(
+        coords, models._branch_rows(model.params)[1]))
+
+
+@st.composite
+def _oracle_rows(draw, n):
+    """One query row: a box row, or a branch point of either face, exact,
+    with a few coordinates nudged by 1e-9 to 1e-3, or pushed out to |t| > 1;
+    any of them with its zeros turned to -0.0."""
+    kind = draw(st.sampled_from(["box", "exact", "nudged", "outside"]))
+    if kind == "box":
+        row = np.array(draw(st.lists(st.floats(-1.6, 1.6), min_size=n + 1, max_size=n + 1)))
+    else:
+        pos, neg = ModelParams(n=n).branch_magnitudes(1.0)
+        pick = np.array(draw(st.lists(st.sampled_from([1, 0, -1]), min_size=n, max_size=n)))
+        side = draw(st.sampled_from([1.0, -1.0]))
+        row = side * np.r_[1.0, np.where(pick > 0, pos, 0.0) - np.where(pick < 0, neg, 0.0)] + 0.0
+        if kind == "nudged":
+            for j in draw(st.lists(st.integers(0, n), min_size=1, max_size=3)):
+                row[j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-9, 1e-3))
+        elif kind == "outside":
+            row[0] = side * draw(st.floats(1.0, 3.0, exclude_min=True))
+    if draw(st.booleans()):
+        row[row == 0.0] = -0.0
+    return row
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.integers(1, 7))
+    return n, np.array(draw(st.lists(_oracle_rows(n), min_size=1, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_oracle_cases())
+def test_oracle_equals_the_table_reference_byte_for_byte(case):
+    n, rows = case
+    model = clark_model(n=n)
+    oracle = CriticalSetOracle(model)
+    expected = _table_oracle_reference(model, rows)
+    assert oracle.distance(rows).tobytes() == expected.tobytes()
+    assert oracle.distance(rows[0]) == float(expected[0])
 
 
 def test_classification_recognizes_all_families():

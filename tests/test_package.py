@@ -65,10 +65,10 @@ def test_every_public_name_is_reached_outside_unit_tests():
     assert not unreached, "named only by unit tests: " + ", ".join(unreached)
 
 
-def test_one_routine_measures_nearest_distances_and_one_shoots_the_ode():
-    # each job has one implementation: cdist and solve_ivp are each named by
-    # exactly one function of the package, and by no module-level code
-    users = {"cdist": [], "solve_ivp": []}
+def _namers(*names):
+    """For each identifier, the labels of the package's functions, classes
+    and methods that name it, and of each module whose module-level code does."""
+    users = {name: [] for name in names}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
@@ -76,4 +76,24 @@ def test_one_routine_measures_nearest_distances_and_one_shoots_the_ode():
         found += [(f"{path.stem}.{label}", uses) for label, _, uses in _definitions(tree)]
         for name, where in users.items():
             where += [label for label, uses in found if name in uses]
-    assert users == {"cdist": ["topology.nearest_distances"], "solve_ivp": ["bvp.shoot"]}
+    return users
+
+
+def test_one_routine_measures_nearest_distances_and_one_shoots_the_ode():
+    # each job has one implementation: cdist and solve_ivp are each named by
+    # exactly one function of the package, and by no module-level code
+    assert _namers("cdist", "solve_ivp") == {"cdist": ["topology.nearest_distances"],
+                                             "solve_ivp": ["bvp.shoot"]}
+
+
+def test_only_the_enumeration_builds_the_branch_table():
+    # the 2 * 3^n branch rows are built for the enumeration alone; the oracle
+    # reads the product structure, so models needs no distance routine
+    assert _namers("_branch_rows") == {"_branch_rows": ["models.enumerate_critical_set"]}
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "models.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [m for m in imported if "topology" in m.split(".")]
