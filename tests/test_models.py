@@ -228,7 +228,12 @@ def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     assert oracle.distance(np.array([1.5, 0.0, 0.0, 0.0])) == pytest.approx(0.5)
 
 
-def test_oracle_distance_batch_equals_its_single_rows():
+@pytest.mark.parametrize("block", [1, 1000, 1 << 15])
+def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
+    # the table reference cuts its 54 branch-point distances into row blocks
+    # (here one row, 18 rows with a ragged last block, or one block); the
+    # oracle's batch must give the single-row bytes and the table's at every cut
+    monkeypatch.setattr(topology, "_DIST_BLOCK", block)
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
     rows = np.random.default_rng(5).normal(scale=0.7, size=(37, 4))
@@ -236,6 +241,7 @@ def test_oracle_distance_batch_equals_its_single_rows():
     assert batch.shape == (37,)
     single = np.array([oracle.distance(r) for r in rows])
     assert batch.tobytes() == single.tobytes()
+    assert batch.tobytes() == _table_oracle_reference(model, rows).tobytes()
     # the return type follows the input's shape: a one-row batch is a batch
     one = oracle.distance(rows[:1])
     assert isinstance(one, np.ndarray) and one.shape == (1,)
