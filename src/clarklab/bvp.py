@@ -49,9 +49,6 @@ class Trajectory:
     def value(self, t):
         return np.asarray(self.sol(np.asarray(t, dtype=float)))[0]
 
-    def deriv(self, t):
-        return np.asarray(self.sol(np.asarray(t, dtype=float)))[1]
-
 
 def _rhs(t, y, p):
     u, v = y
@@ -88,11 +85,10 @@ class BaseProfile:
     alpha: float    # amplitude factor t1^(2/(p-1))
     traj: Trajectory
 
-    def value(self, x):
-        return self.alpha * self.traj.value(self.t1 * np.asarray(x, dtype=float))
-
-    def deriv(self, x):
-        return self.alpha * self.t1 * self.traj.deriv(self.t1 * np.asarray(x, dtype=float))
+    def sample(self, x):
+        """(value, derivative) at x, from one dense-output evaluation."""
+        y = np.asarray(self.traj.sol(self.t1 * np.asarray(x, dtype=float)))
+        return self.alpha * y[0], self.alpha * self.t1 * y[1]
 
 
 # the horizon of the unit-slope shot: its first zero
@@ -140,8 +136,9 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     local = s - seg
     sign = np.where(seg % 2 == 0, 1.0, -1.0)
     amp = float(k) ** (2.0 / (p - 1.0))
-    u = amp * sign * prof.value(local)
-    du = amp * k * sign * prof.deriv(local)
+    value, deriv = prof.sample(local)
+    u = amp * sign * value
+    du = amp * k * sign * deriv
     u[0] = 0.0
     u[-1] = 0.0
 

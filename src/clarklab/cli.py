@@ -201,8 +201,7 @@ def _run_deform(ns, out: Path):
     )
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(ns.circle_samples)
     r = delta0 / 3.0
-    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
-    bounds = estimate_bounds(f, k0_all, k0e, r,
+    bounds = estimate_bounds(f, k0i, k0e, r,
                              SampleSpec(budget=ns.budget, rng_seed=ns.seed))
     setup = make_setup(f, k0i, k0e, delta0, r, bounds)
 

@@ -133,7 +133,8 @@ def estimate_bounds(f: Functional, k0_cloud: Cloud, k0e_cloud: Cloud, r: float,
                     spec: SampleSpec | None = None) -> BoundsEstimate:
     """Pick rho off a shrinking ladder so that the sampled gradient norm
     over [-rho <= I <= 0] minus N_r(zero cluster) stays above the floor;
-    nu is 0.9 x that sampled infimum."""
+    nu is 0.9 x that sampled infimum.  The exterior distances are folded
+    in, so k0_cloud may be the interior cluster or the whole zero cluster."""
     if len(k0_cloud) == 0 or len(k0e_cloud) == 0:
         raise InvalidParams("cluster clouds must be nonempty")
     if r <= 0:

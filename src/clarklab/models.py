@@ -205,8 +205,8 @@ class EnumeratedCriticalSet:
     labels: np.ndarray
     patterns: list
 
-    def coords_array(self, labels=None):
-        return self.coords if labels is None else self.coords[np.isin(self.labels, labels)]
+    def coords_array(self):
+        return self.coords
 
     def to_json_dict(self):
         return {"n": self.n, "points": [
@@ -290,12 +290,10 @@ def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
     (the whole segment is critical, so x is the only discriminator); the
     rest are branch families at t = +-1 up to _FACE_T_TOL, anything else
     is labelled other.  Every point but a Z one also gets the sign pattern
-    of its x-part, with 0 for |x_j| up to 10*residual_tol.  A 1-d point
-    gives one (label, pattern) pair, a (rows, n+1) batch a list of labels
-    and a list of patterns.
+    of its x-part, with 0 for |x_j| up to 10*residual_tol.  A (rows, n+1)
+    batch gives a list of labels and a list of patterns.
     """
-    single = np.ndim(coords) == 1
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    coords = np.asarray(coords, dtype=float)
     t, x = coords[:, 0], coords[:, 1:]
     cut = 10.0 * residual_tol
     zero = (np.linalg.norm(x, axis=1) < cut) & (np.abs(t) <= 1.0 + _FACE_T_TOL)
@@ -303,8 +301,6 @@ def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
                        [LABEL_Z, LABEL_N, LABEL_NEG_N], LABEL_OTHER)
     signs = np.where(x > cut, 1, np.where(x < -cut, -1, 0))
     patterns = np.where(zero, None, _pattern_strings(signs).astype(object))
-    if single:
-        return str(labels[0]), patterns[0]
     return labels.tolist(), patterns.tolist()
 
 
@@ -422,7 +418,6 @@ class WrapperFunctional(Functional):
     def __init__(self, grid: H01Grid, p: float = 0.5):
         self.space = grid
         self.inner_energy = SublinearEnergy(grid, p=p)
-        self.p = p
 
     def value_of(self, coords):
         return self._evaluate(coords, value=True, grad=False)[0]

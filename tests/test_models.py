@@ -117,8 +117,8 @@ def test_enumeration_counts_mirror_symmetry_and_residuals():
     assert labels.count("Z") == 11
     assert np.max(es.residuals) <= 1e-12
     # the set is symmetric: negating an N point gives a -N point
-    n_coords = es.coords_array(labels=["N"])
-    neg_coords = es.coords_array(labels=["-N"])
+    n_coords = es.coords[es.labels == "N"]
+    neg_coords = es.coords[es.labels == "-N"]
     for c in n_coords:
         assert np.min(np.linalg.norm(neg_coords + c, axis=1)) < 1e-15
     # canonical order: values ascending
@@ -175,7 +175,7 @@ def test_enumerated_branch_values_are_additive_across_mixed_signs():
         assert es.values[i] == pytest.approx(expect, abs=tol)
         assert es.coords[i, 0] == 1.0
         assert es.residuals[i] <= 1e-12
-        assert classify_model_point(model, es.coords[i]) == ("N", pattern)
+        assert classify_model_point(model, es.coords[i:i + 1]) == (["N"], [pattern])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -302,11 +302,11 @@ def test_oracle_equals_the_table_reference_byte_for_byte(case):
 def test_classification_recognizes_all_families():
     model = clark_model(n=3)
     branch = np.array([1.0, 1.0, 0.0, -3.0 ** -6])
-    assert classify_model_point(model, branch) == ("N", "+0-")
-    assert classify_model_point(model, -branch) == ("-N", "-0+")
-    assert classify_model_point(model, np.array([0.37, 0.0, 0.0, 0.0])) == ("Z", None)
-    label, _ = classify_model_point(model, np.array([0.5, 0.3, 0.0, 0.0]))
-    assert label == "other"
+    assert classify_model_point(model, branch[None]) == (["N"], ["+0-"])
+    assert classify_model_point(model, -branch[None]) == (["-N"], ["-0+"])
+    assert classify_model_point(model, np.array([[0.37, 0.0, 0.0, 0.0]])) == (["Z"], [None])
+    labels, _ = classify_model_point(model, np.array([[0.5, 0.3, 0.0, 0.0]]))
+    assert labels == ["other"]
     # a batch gives a list of labels and a list of patterns, an empty one two
     # empty lists
     rows = np.stack([branch, -branch, np.array([0.37, 0.0, 0.0, 0.0])])
@@ -353,7 +353,9 @@ def test_batched_classification_equals_the_per_point_one(n, tol, data):
     labels, patterns = classify_model_point(model, rows, tol)
     expect = [_classify_one(r, tol) for r in rows]
     assert list(zip(labels, patterns)) == expect
-    assert [classify_model_point(model, r, tol) for r in rows] == expect
+    # a row's label does not depend on the other rows of its batch
+    assert ([classify_model_point(model, r[None], tol) for r in rows]
+            == [([label], [pattern]) for label, pattern in expect])
 
 
 def test_interior_exclusion_margins_and_flow_crosscheck():

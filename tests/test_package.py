@@ -97,3 +97,12 @@ def test_only_the_enumeration_builds_the_branch_table():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert not [m for m in imported if "topology" in m.split(".")]
+
+
+def test_the_package_root_binds_only_its_version():
+    # each name has one import path, its module's: the root holds its
+    # docstring and __version__, which the CLI writes into the manifest
+    body = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert isinstance(body[0].value.value, str)
+    assert [ast.unparse(target) for target in body[1].targets] == ["__version__"]

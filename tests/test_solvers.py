@@ -40,7 +40,7 @@ def test_flow_converges_to_the_nearest_branch_point():
     row = gradient_flow_solve_batch(model, seed, SolveConfig())[0]
     assert row.stop == "converged"
     assert row.residual <= 1e-8
-    assert classify_model_point(model, row.coords, 1e-8) == ("N", "+00")
+    assert classify_model_point(model, row.coords[None], 1e-8) == (["N"], ["+00"])
     assert row.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
     assert np.linalg.norm(row.coords - np.array([1.0, 1.0, 0.0, 0.0])) < 1e-6
 
@@ -311,8 +311,8 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
         assert residual <= 1e-8
         assert oracle.distance(c) < 1e-6
         assert dist == float(np.min(np.linalg.norm(z - c, axis=1)))
-    assert list(zip(report.labels, report.patterns)) == [
-        classify_model_point(model, c, 1e-8) for c in report.coords]
+    assert [([label], [pattern]) for label, pattern in zip(report.labels, report.patterns)] == [
+        classify_model_point(model, c[None], 1e-8) for c in report.coords]
     keys = [(v, tuple(c)) for v, c in zip(report.values.tolist(), report.coords.tolist())]
     assert keys == sorted(keys)
 
