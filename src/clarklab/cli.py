@@ -6,7 +6,8 @@ identical across runs with the same config and seed), plain RFC-4180
 CSV data files, and manifest.json (config echo, versions, wall time —
 always written, even when the run fails its checks).
 
-Exit codes: 0 success, 1 usage error, 2 verification/contract failure.
+Exit codes: 0 success, 1 usage error or out of memory, 2 verification/contract
+failure.
 
 Config files are flat UTF-8 ``key = value`` lines (# comments allowed);
 command-line flags override file values; unknown keys are rejected.
@@ -284,7 +285,7 @@ def _run_stabilize(ns, out: Path):
 
 
 def _run_minimax(ns, out: Path):
-    from .minimax import Budget, cj_upper_bound
+    from .minimax import Budget, cj_upper_bound, coordinate_model_bound
     model = clark_model(n=ns.n)
     budget = Budget(rng_seed=ns.seed)
     estimates = [cj_upper_bound(model, j, budget=budget) for j in range(1, ns.jmax + 1)]
@@ -292,11 +293,19 @@ def _run_minimax(ns, out: Path):
     rows = [(e.j, float(e.rho_star), float(e.upper_bound), e.budget.describe())
             for e in estimates]
     _write_csv(out / "minimax.csv", ["j", "rho_star", "upper_bound", "budget"], rows)
-    results = {"n": ns.n, "estimates": [e.to_json_dict() for e in estimates]}
+    # on the coordinate model each level's bound has a closed form, so every
+    # estimate is checked against it, not only level one's window
+    levels = []
+    for e in estimates:
+        closed = coordinate_model_bound(e.j)[1]
+        levels.append({**e.to_json_dict(), "closed_form_bound": closed,
+                       "relative_gap": abs(e.upper_bound - closed) / abs(closed)})
+    results = {"n": ns.n, "estimates": levels}
     checks = {
         "all_negative": all(b < 0 for b in bounds),
         "nondecreasing": all(b1 <= b2 + 1e-15 for b1, b2 in zip(bounds, bounds[1:])),
         "level_one_window": bounds[0] <= -8.0 / 243.0 + 1e-9 and bounds[0] >= -1.0 / 6.0 - 1e-6,
+        "matches_closed_form": all(lv["relative_gap"] <= 1e-9 for lv in levels),
     }
     return results, checks
 
@@ -441,6 +450,11 @@ def main(argv=None) -> int:
         note = f"{type(exc).__name__}: {exc}"
         print(f"clarklab {ns.experiment}: {note}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a count too large for this machine: one line, not a traceback
+        note = f"out of memory: {exc}" if str(exc) else "out of memory"
+        print(f"clarklab {ns.experiment}: {note}", file=sys.stderr)
+        return 1
     finally:
         manifest = {
             "experiment": ns.experiment,

@@ -23,8 +23,8 @@ class Functional:
     """Base class; subclasses implement value_of / grad_of on raw arrays.
 
     Both accept batches of shape (..., dim).  value_and_grad returns the
-    pair in one call; the descent solver and the minimax ascent make one
-    such call per step, so a subclass whose value and gradient share work
+    pair in one call; the descent solver makes one such call per step,
+    so a subclass whose value and gradient share work
     (norms, profile terms, powers) overrides it to compute that work once.
     Its result must equal (value_of, grad_of) bit for bit.  evaluate is the
     Point-typed wrapper of value_of, with validation.

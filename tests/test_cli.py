@@ -227,6 +227,10 @@ def test_minimax_small_run_orders_the_levels(tmp_path):
     assert all(b < 0.0 for b in bounds)
     assert bounds == sorted(bounds)
     assert len(read_csv(out / "minimax.csv")) == 1 + 3
+    assert results["checks"]["matches_closed_form"] is True
+    for e in results["results"]["estimates"]:
+        assert e["closed_form_bound"] < 0.0
+        assert 0.0 <= e["relative_gap"] <= 1e-9
 
 
 def test_bvp_small_run_writes_the_family(tmp_path):
@@ -271,6 +275,23 @@ def test_domain_errors_exit_two_with_a_note(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == "verification-failed"
     assert manifest["note"].startswith("InvalidParams")
+    assert not (out / "results.json").exists()
+
+
+def test_out_of_memory_exits_one_with_a_clean_line(tmp_path, monkeypatch, capsys):
+    from clarklab import cli
+
+    def exhausted(ns, out):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setitem(cli.RUNNERS, "enumerate", exhausted)
+    out = tmp_path / "out"
+    assert cli.main(["enumerate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "clarklab enumerate: out of memory: Unable to allocate 7.45 GiB\n"
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "error"
+    assert manifest["note"] == "out of memory: Unable to allocate 7.45 GiB"
     assert not (out / "results.json").exists()
 
 

@@ -12,6 +12,7 @@ from clarklab.errors import (
 from clarklab.minimax import (
     Budget,
     cj_upper_bound,
+    coordinate_model_bound,
     sphere_sup_witness,
 )
 from clarklab.models import clark_model, wrapper_functional
@@ -29,12 +30,19 @@ def exact_bound(j):
     return 4.0 * 3.0 ** (-2 * j), -(8.0 / 3.0) * 3.0 ** (-4 * j)
 
 
-def test_sphere_sup_matches_the_closed_form():
-    model = clark_model(n=6)
-    for k in (1, 2, 4):
-        for rho in (0.4, 0.04):
-            got = sphere_sup_witness(model, k, rho)[0]
-            assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sphere_sup_matches_the_closed_form(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
+                    label="rho")
+    budget = Budget(rng_seed=data.draw(st.integers(0, 3), label="seed"))
+    got, w = sphere_sup_witness(clark_model(n=n), k, rho, budget)
+    assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
+    # the sup sits on the weakest in-block axis, +-rho e_k
+    assert np.flatnonzero(w).tolist() == [k]
+    assert abs(abs(w[k]) - rho) <= 4 * np.spacing(rho)
 
 
 def test_sphere_witness_sits_on_the_block_sphere():
@@ -48,10 +56,11 @@ def test_sphere_witness_sits_on_the_block_sphere():
 
 
 def test_upper_bounds_match_the_closed_form_optimum():
-    model = clark_model(n=6)
-    for j in (1, 2, 3):
+    model = clark_model(n=8)
+    for j in range(1, 7):
         est = cj_upper_bound(model, j)
         rho_star, bound = exact_bound(j)
+        assert coordinate_model_bound(j) == pytest.approx((rho_star, bound), rel=1e-12)
         assert est.upper_bound == pytest.approx(bound, rel=1e-9)
         assert est.rho_star == pytest.approx(rho_star, rel=1e-4)
         assert est.j == j
@@ -78,7 +87,7 @@ def test_same_budget_is_deterministic():
     assert a.upper_bound == b.upper_bound
     assert a.rho_star == b.rho_star
     assert np.array_equal(a.witness.coords, b.witness.coords)
-    assert Budget().describe() == "starts=6;samples=64;ascent=80;seed=0"
+    assert Budget().describe() == "samples=64;seed=0"
 
 
 def test_wrapper_shell_sup_feels_the_grid_concentration_effect():
@@ -148,25 +157,43 @@ def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data, model_c
 
 def test_the_bound_makes_one_grid_call_then_one_call_per_minimizer_step(monkeypatch):
     calls = []
+    model_calls = {"value_of": 0, "value_and_grad": 0, "grad_of": 0}
     real_sup, real_min = minimax.sphere_sup_witness, minimax.minimize_scalar
+    model = clark_model(n=4)
 
     def counting_sup(f, k, rho, budget=None):
         calls.append(np.asarray(rho).copy())
-        return real_sup(f, k, rho, budget)
+        before = model_calls["value_of"]
+        out = real_sup(f, k, rho, budget)
+        # the sup is the stencil and the samples in one value call
+        assert model_calls["value_of"] == before + 1
+        return out
 
     def counting_min(*args, **kwargs):
         res = real_min(*args, **kwargs)
         calls.append(("minimizer done", res.nfev))
         return res
 
+    def counted(name):
+        real = getattr(model, name)
+
+        def wrapper(coords):
+            model_calls[name] += 1
+            return real(coords)
+        return wrapper
+
+    for name in model_calls:
+        monkeypatch.setattr(model, name, counted(name))
     monkeypatch.setattr(minimax, "sphere_sup_witness", counting_sup)
     monkeypatch.setattr(minimax, "minimize_scalar", counting_min)
-    est = cj_upper_bound(clark_model(n=4), 2)
+    est = cj_upper_bound(model, 2)
     grid, *steps, done = calls
     assert np.array_equal(grid, minimax._RHO_GRID)
     assert done[0] == "minimizer done"
     assert len(steps) == done[1] > 0
     assert all(step.ndim == 0 for step in steps)
+    # no gradient anywhere: the bound is values only
+    assert model_calls["value_and_grad"] == model_calls["grad_of"] == 0
     # the refined radius is one the minimizer evaluated, not a new call
     assert est.sphere_sup_trace[-1][0] in [float(s) for s in steps]
     assert len(est.sphere_sup_trace) == 25
