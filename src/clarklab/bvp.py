@@ -55,7 +55,7 @@ def _rhs(t, y, p):
     return [v, -np.sign(u) * np.abs(u) ** p]
 
 
-def shoot(p: float, slope: float, t_max: float = 4.0) -> Trajectory:
+def shoot(p: float, slope: float, t_max: float) -> Trajectory:
     """Integrate from u(0)=0, u'(0)=slope with dense output and
     zero-crossing detection up to t_max.  The crossing times may be empty;
     the events do not change the integrator's steps."""
@@ -162,22 +162,20 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     )
 
 
-def nodal_family(p: float, kmax: int, grid: H01Grid | None = None) -> list:
+def nodal_family(p: float, kmax: int, grid: H01Grid) -> list:
     """The k-nodal-domain solutions for k = 1..kmax, each by exact
     compression of the base arch."""
     if kmax < 1:
         raise InvalidParams("kmax must be >= 1")
-    grid = grid or H01Grid(2000)
     prof = base_profile(p)
     return [_assemble(p, k, prof, grid) for k in range(1, kmax + 1)]
 
 
-def reshoot_values(p: float, k: int, grid: H01Grid | None = None) -> np.ndarray:
+def reshoot_values(p: float, k: int, grid: H01Grid) -> np.ndarray:
     """Cross-check: integrate the ODE directly with the k-solution's
     initial slope over all of [0,1] (no rescaling afterwards) and sample
     the grid abscissae.  Scaling exactness means this should match the
     compressed construction to integrator accuracy."""
-    grid = grid or H01Grid(2000)
     prof = base_profile(p)
     slope_1 = prof.alpha * prof.t1     # u_1'(0)
     slope_k = float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1

@@ -27,7 +27,13 @@ import numpy as np
 from . import __version__
 from .errors import ClarkLabError
 from .functionals import ps_diagnostic
-from .models import ENUMERATION_N_MAX, CriticalSetOracle, clark_model, enumerate_critical_set
+from .models import (
+    ENUMERATION_N_MAX,
+    LEVEL_J_MAX,
+    CriticalSetOracle,
+    clark_model,
+    enumerate_critical_set,
+)
 from .solvers import SolveConfig, accumulation_scan
 from .spaces import Point
 from .topology import Cloud, origin_component_stabilization
@@ -253,7 +259,7 @@ def _run_stabilize(ns, out: Path):
 
     model = clark_model(n=2)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
-    cloud = Cloud(es.coords_array())
+    cloud = Cloud(es.coords)
     rep_model = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
     reports["model_critical_cloud"] = rep_model.to_json_dict()
     # the all-zero sign pattern duplicates the segment endpoints, so the
@@ -285,14 +291,12 @@ def _run_stabilize(ns, out: Path):
 
 
 def _run_minimax(ns, out: Path):
-    from .minimax import Budget, cj_upper_bound, coordinate_model_bound
+    from .minimax import cj_upper_bound, coordinate_model_bound
     model = clark_model(n=ns.n)
-    budget = Budget(rng_seed=ns.seed)
-    estimates = [cj_upper_bound(model, j, budget=budget) for j in range(1, ns.jmax + 1)]
+    estimates = [cj_upper_bound(model, j) for j in range(1, ns.jmax + 1)]
     bounds = [e.upper_bound for e in estimates]
-    rows = [(e.j, float(e.rho_star), float(e.upper_bound), e.budget.describe())
-            for e in estimates]
-    _write_csv(out / "minimax.csv", ["j", "rho_star", "upper_bound", "budget"], rows)
+    rows = [(e.j, float(e.rho_star), float(e.upper_bound)) for e in estimates]
+    _write_csv(out / "minimax.csv", ["j", "rho_star", "upper_bound"], rows)
     # on the coordinate model each level's bound has a closed form, so every
     # estimate is checked against it, not only level one's window
     levels = []
@@ -414,6 +418,12 @@ def main(argv=None) -> int:
         parser.error("threads must be positive")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
+    # minimax's levels and psdiag's sequence terms have values like 3^(-4j),
+    # which leave the normal floats past LEVEL_J_MAX
+    if ns.experiment == "minimax" and ns.jmax > LEVEL_J_MAX:
+        parser.error(f"jmax must not exceed {LEVEL_J_MAX}")
+    if ns.experiment == "psdiag" and ns.n > LEVEL_J_MAX:
+        parser.error(f"n must not exceed {LEVEL_J_MAX}")
     # enumerate builds the 2 * 3^n branch table; scan builds none, but its
     # oracle check already fails from n = 4, so it keeps the same bound
     if ns.experiment in ("enumerate", "scan") and ns.n > ENUMERATION_N_MAX:

@@ -46,9 +46,5 @@ class IntegrationError(ClarkLabError):
     """An ODE integration did not reach the requested accuracy or span."""
 
 
-class NoNegativeCertificate(ClarkLabError):
-    """No sphere in the searched family produced a negative supremum."""
-
-
 class NoCrossing(ClarkLabError):
     """Shooting trajectory produced no return to zero before t_max."""

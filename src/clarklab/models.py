@@ -161,6 +161,10 @@ def clark_model(n: int = 4) -> ClarkModel:
 # enumerate at n = 10 already peaks at about 450 MB
 ENUMERATION_N_MAX = 10
 
+# the largest level index j whose value scale 3^(-4j) is a normal float;
+# past it the level values turn subnormal, then round to -0.0
+LEVEL_J_MAX = int(np.log(np.finfo(float).tiny) / np.log(3.0 ** -4))
+
 
 def _pattern_strings(signs):
     """One '+0-' string per row of a (k, n) array of signs in {1, 0, -1},
@@ -204,9 +208,6 @@ class EnumeratedCriticalSet:
     residuals: np.ndarray
     labels: np.ndarray
     patterns: list
-
-    def coords_array(self):
-        return self.coords
 
     def to_json_dict(self):
         return {"n": self.n, "points": [

@@ -19,7 +19,7 @@ from clarklab.deformation import (
     two_cluster_setup_clouds,
 )
 from clarklab.functionals import fd_gradient_check
-from clarklab.minimax import Budget, cj_upper_bound
+from clarklab.minimax import cj_upper_bound
 from clarklab.models import (
     CriticalSetOracle,
     clark_model,
@@ -154,7 +154,7 @@ def test_criterion_06_origin_component_stabilization_examples():
     rep_seg = origin_component_stabilization(Cloud(seg), (0.3, 0.2, 0.1, 0.05))
 
     from clarklab.models import enumerate_critical_set
-    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords_array())
+    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords)
     rep_model = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
     axis_count = int(np.sum(np.linalg.norm(cloud.coords[:, 1:], axis=1) == 0.0))
 
@@ -183,9 +183,7 @@ def test_criterion_06_origin_component_stabilization_examples():
 
 def test_criterion_07_minimax_upper_bounds_order_and_vanish():
     model = clark_model(n=8)
-    budget = Budget(rng_seed=0)
-    bounds = [cj_upper_bound(model, j, budget=budget).upper_bound
-              for j in range(1, 7)]
+    bounds = [cj_upper_bound(model, j).upper_bound for j in range(1, 7)]
     ok = (all(b < 0.0 for b in bounds)
           and all(a <= b + 1e-15 for a, b in zip(bounds, bounds[1:]))
           and abs(bounds[5]) < abs(bounds[0]) / 50.0

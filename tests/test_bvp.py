@@ -138,9 +138,10 @@ def test_reshot_solution_matches_the_rescaled_one():
 
 
 def test_nodal_solution_validates_inputs():
+    grid = H01Grid(10)
     with pytest.raises(InvalidParams):
-        nodal_family(0.5, 0)
+        nodal_family(0.5, 0, grid)
     with pytest.raises(InvalidParams):
-        nodal_family(1.5, 2)
+        nodal_family(1.5, 2, grid)
     with pytest.raises(InvalidParams):
         base_profile(0.0)

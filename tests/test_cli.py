@@ -111,11 +111,13 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("scan", "--threads", "-3"), "threads must be positive"),
     (("enumerate", "--n", "11"), "n must not exceed 10"),
     (("scan", "--n", "25"), "n must not exceed 10"),
+    (("minimax", "--n", "162", "--jmax", "162"), "jmax must not exceed 161"),
+    (("psdiag", "--n", "162"), "n must not exceed 161"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
         "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
         "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg", "enumerate-n-11",
-        "scan-n-25"])
+        "scan-n-25", "minimax-jmax-162", "psdiag-n-162"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
@@ -231,6 +233,17 @@ def test_minimax_small_run_orders_the_levels(tmp_path):
     for e in results["results"]["estimates"]:
         assert e["closed_form_bound"] < 0.0
         assert 0.0 <= e["relative_gap"] <= 1e-9
+
+
+def test_minimax_at_twenty_levels_matches_the_closed_form(tmp_path):
+    # each level's optimum radius 4 * 3^(-2j) is evaluated, not searched
+    # for, so it stays exact however deep the level
+    out = tmp_path / "out"
+    proc = run_cli("minimax", "--n", "20", "--jmax", "20", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    results = read_json(out / "results.json")
+    assert results["checks"]["matches_closed_form"] is True
+    assert max(e["relative_gap"] for e in results["results"]["estimates"]) <= 1e-14
 
 
 def test_bvp_small_run_writes_the_family(tmp_path):

@@ -4,19 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarklab import minimax
-from clarklab.errors import (
-    DimensionError,
-    InvalidParams,
-    NoNegativeCertificate,
-)
-from clarklab.minimax import (
-    Budget,
-    cj_upper_bound,
-    coordinate_model_bound,
-    sphere_sup_witness,
-)
-from clarklab.models import clark_model, wrapper_functional
-from clarklab.spaces import H01Grid
+from clarklab.errors import DimensionError, InvalidParams
+from clarklab.minimax import cj_upper_bound, coordinate_model_bound, sphere_sup_witness
+from clarklab.models import LEVEL_J_MAX, clark_model
 
 
 def exact_block_sup(k, rho):
@@ -37,12 +27,29 @@ def test_sphere_sup_matches_the_closed_form(data):
     k = data.draw(st.integers(1, n), label="k")
     rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
                     label="rho")
-    budget = Budget(rng_seed=data.draw(st.integers(0, 3), label="seed"))
-    got, w = sphere_sup_witness(clark_model(n=n), k, rho, budget)
+    got, w = sphere_sup_witness(clark_model(n=n), k, rho)
     assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
     # the sup sits on the weakest in-block axis, +-rho e_k
     assert np.flatnonzero(w).tolist() == [k]
-    assert abs(abs(w[k]) - rho) <= 4 * np.spacing(rho)
+    assert abs(w[k]) == rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_block_directions_never_beat_the_stencil_sup(data):
+    # the stencil's sup is exact, so no direction of the block sphere may
+    # exceed it beyond rounding
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
+                    label="rho")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    model = clark_model(n=n)
+    dirs = np.random.default_rng(seed).standard_normal((64, k))
+    coords = np.zeros((64, n + 1))
+    coords[:, 1:k + 1] = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    sup = sphere_sup_witness(model, k, rho)[0]
+    assert np.max(model.value_of(coords)) <= sup + 1e-12 * abs(sup)
 
 
 def test_sphere_witness_sits_on_the_block_sphere():
@@ -56,19 +63,20 @@ def test_sphere_witness_sits_on_the_block_sphere():
 
 
 def test_upper_bounds_match_the_closed_form_optimum():
-    model = clark_model(n=8)
-    for j in range(1, 7):
+    for j in (1, 2, 3, 6, 7, 10, 40, 100, LEVEL_J_MAX):
+        model = clark_model(n=j)
         est = cj_upper_bound(model, j)
         rho_star, bound = exact_bound(j)
         assert coordinate_model_bound(j) == pytest.approx((rho_star, bound), rel=1e-12)
-        assert est.upper_bound == pytest.approx(bound, rel=1e-9)
-        assert est.rho_star == pytest.approx(rho_star, rel=1e-4)
         assert est.j == j
+        # the closed-form radius beats every grid radius
+        assert est.rho_star == coordinate_model_bound(j)[0]
+        assert abs(est.upper_bound - bound) <= 1e-14 * abs(bound)
         # the witness realizes the reported bound
-        assert float(model.value_of(est.witness.coords)) == pytest.approx(
-            est.upper_bound, rel=1e-12)
-        # trace records the whole grid plus the refinement point
-        assert len(est.sphere_sup_trace) >= 24
+        assert float(model.value_of(est.witness.coords)) == est.upper_bound
+        # the trace records the whole grid, then rho* and its sup
+        assert len(est.sphere_sup_trace) == len(minimax._RHO_GRID) + 1
+        assert est.sphere_sup_trace[-1] == (est.rho_star, est.upper_bound)
 
 
 def test_bounds_decrease_toward_zero_with_the_level():
@@ -81,36 +89,11 @@ def test_bounds_decrease_toward_zero_with_the_level():
 
 def test_same_budget_is_deterministic():
     model = clark_model(n=4)
-    budget = Budget(rng_seed=123)
-    a = cj_upper_bound(model, 2, budget=budget)
-    b = cj_upper_bound(model, 2, budget=budget)
+    a = cj_upper_bound(model, 2)
+    b = cj_upper_bound(model, 2)
     assert a.upper_bound == b.upper_bound
     assert a.rho_star == b.rho_star
     assert np.array_equal(a.witness.coords, b.witness.coords)
-    assert Budget().describe() == "samples=64;seed=0"
-
-
-def test_wrapper_shell_sup_feels_the_grid_concentration_effect():
-    # just outside the unit ball the wrapper value is the inner energy of
-    # (|u|^2 - 1)u.  Smooth directions make that negative, but a single-node
-    # hat of the same norm carries almost no sublinear mass, so the sup over
-    # the full coordinate sphere stays positive on any grid.  The estimator
-    # must find that concentrated direction.
-    grid = H01Grid(10)
-    w = wrapper_functional(grid)
-    assert sphere_sup_witness(w, grid.dim, 1.02)[0] > 0.0
-
-    x = np.linspace(0.0, 1.0, grid.dim + 2)[1:-1]
-    smooth = np.sin(np.pi * x)
-    smooth *= 1.02 / grid.norm(smooth)
-    assert float(w.value_of(smooth)) < 0.0
-
-
-def test_nonnegative_region_yields_no_certificate():
-    # inside the unit ball the wrapper is 1 - cos(2 pi |u|^2) >= 0
-    w = wrapper_functional(H01Grid(6))
-    with pytest.raises(NoNegativeCertificate):
-        cj_upper_bound(w, 1)
 
 
 def test_block_and_radius_validation():
@@ -125,6 +108,9 @@ def test_block_and_radius_validation():
                 np.array([0.1, -0.2]), np.array([[0.1]])):
         with pytest.raises(InvalidParams):
             sphere_sup_witness(model, 1, bad)
+    # past LEVEL_J_MAX the level values leave the normal floats
+    with pytest.raises(InvalidParams):
+        cj_upper_bound(clark_model(n=LEVEL_J_MAX + 1), LEVEL_J_MAX + 1)
 
 
 # grid radii, radii between them and radii outside the grid's span
@@ -133,46 +119,26 @@ _RADII = st.one_of(st.sampled_from(list(minimax._RHO_GRID)),
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), model_case=st.booleans())
-def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data, model_case):
-    if model_case:
-        n = data.draw(st.integers(1, 6), label="n")
-        f = clark_model(n=n)
-        k = data.draw(st.integers(1, n), label="k")
-    else:
-        f = wrapper_functional(H01Grid(10))
-        k = data.draw(st.integers(1, 10), label="k")
+@given(data=st.data())
+def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    f = clark_model(n=n)
+    k = data.draw(st.integers(1, n), label="k")
     # random order, duplicates allowed
     radii = np.array(data.draw(st.lists(_RADII, min_size=1, max_size=5), label="radii"))
-    budget = Budget(rng_seed=data.draw(st.integers(0, 3), label="seed"))
-    vals, witnesses = sphere_sup_witness(f, k, radii, budget)
+    vals, witnesses = sphere_sup_witness(f, k, radii)
     assert vals.shape == (len(radii),)
     assert witnesses.shape == (len(radii), f.space.dim)
     for r, v, w in zip(radii, vals, witnesses):
-        v1, w1 = sphere_sup_witness(f, k, float(r), budget)
+        v1, w1 = sphere_sup_witness(f, k, float(r))
         assert isinstance(v1, float)
         assert np.float64(v1).tobytes() == v.tobytes()
         assert w1.tobytes() == w.tobytes()
 
 
-def test_the_bound_makes_one_grid_call_then_one_call_per_minimizer_step(monkeypatch):
-    calls = []
+def test_each_level_is_one_value_call_and_no_gradient(monkeypatch):
     model_calls = {"value_of": 0, "value_and_grad": 0, "grad_of": 0}
-    real_sup, real_min = minimax.sphere_sup_witness, minimax.minimize_scalar
     model = clark_model(n=4)
-
-    def counting_sup(f, k, rho, budget=None):
-        calls.append(np.asarray(rho).copy())
-        before = model_calls["value_of"]
-        out = real_sup(f, k, rho, budget)
-        # the sup is the stencil and the samples in one value call
-        assert model_calls["value_of"] == before + 1
-        return out
-
-    def counting_min(*args, **kwargs):
-        res = real_min(*args, **kwargs)
-        calls.append(("minimizer done", res.nfev))
-        return res
 
     def counted(name):
         real = getattr(model, name)
@@ -184,16 +150,6 @@ def test_the_bound_makes_one_grid_call_then_one_call_per_minimizer_step(monkeypa
 
     for name in model_calls:
         monkeypatch.setattr(model, name, counted(name))
-    monkeypatch.setattr(minimax, "sphere_sup_witness", counting_sup)
-    monkeypatch.setattr(minimax, "minimize_scalar", counting_min)
-    est = cj_upper_bound(model, 2)
-    grid, *steps, done = calls
-    assert np.array_equal(grid, minimax._RHO_GRID)
-    assert done[0] == "minimizer done"
-    assert len(steps) == done[1] > 0
-    assert all(step.ndim == 0 for step in steps)
-    # no gradient anywhere: the bound is values only
-    assert model_calls["value_and_grad"] == model_calls["grad_of"] == 0
-    # the refined radius is one the minimizer evaluated, not a new call
-    assert est.sphere_sup_trace[-1][0] in [float(s) for s in steps]
-    assert len(est.sphere_sup_trace) == 25
+    for j in range(1, 5):
+        cj_upper_bound(model, j)
+        assert model_calls == {"value_of": j, "value_and_grad": 0, "grad_of": 0}

@@ -220,7 +220,7 @@ def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
     es = enumerate_critical_set(model, z_samples=41)
-    coords = es.coords_array()
+    coords = es.coords
     dists = np.array([oracle.distance(c) for c in coords])
     assert np.max(dists) < 1e-15
     # distance to the segment is computed exactly, not against samples
@@ -424,6 +424,12 @@ def test_wrapper_values_inside_on_and_outside_the_seam():
     inner = w.inner_energy
     assert float(w.value_of(out)) == pytest.approx(
         float(inner.value_of((s - 1.0) * out)), rel=1e-12)
+    # just outside the unit sphere a smooth direction carries enough
+    # sublinear mass to make the value negative
+    x = np.linspace(0.0, 1.0, grid.dim + 2)[1:-1]
+    smooth = np.sin(np.pi * x)
+    smooth *= 1.02 / grid.norm(smooth)
+    assert float(w.value_of(smooth)) < 0.0
 
 
 def test_wrapper_gradient_closed_form_inside():

@@ -211,7 +211,7 @@ def test_model_cloud_stabilizes_to_the_segment_points():
     # exactly the axis points in the origin component
     model = clark_model(n=2)
     es = enumerate_critical_set(model, z_samples=4001)
-    cloud = Cloud(es.coords_array())
+    cloud = Cloud(es.coords)
     report = origin_component_stabilization(cloud, (0.02, 0.005, 8e-4, 6e-4))
     assert report.stabilized
     # the stable origin component is exactly the points on the t-axis
@@ -225,7 +225,7 @@ def test_model_cloud_stabilizes_to_the_segment_points():
 
 def test_model_cloud_stabilization_runs_in_bounded_memory():
     # listing every pair at delta = 0.02 on this cloud takes about 500 MB
-    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords_array())
+    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords)
     tracemalloc.start()
     try:
         report = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
