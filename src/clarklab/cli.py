@@ -95,7 +95,8 @@ _INT_MIN = {"z_samples": 2, "kmax": 2}
 # config file, and they are not part of the experiment's results params
 COMMON = {
     "out": (str, "clarklab-output", "output directory"),
-    "seed": (int, 0, "rng seed"),
+    "seed": (int, 0, "rng seed; only scan, deform and stabilize draw from "
+                     "it, and enumerate, minimax, bvp and psdiag draw nothing"),
     "threads": (int, 1, "worker threads"),
 }
 
@@ -199,18 +200,9 @@ def _run_scan(ns, out: Path):
 
 
 def _run_deform(ns, out: Path):
-    from .deformation import (
-        SampleSpec,
-        estimate_bounds,
-        eta_epsilon_batch,
-        make_setup,
-        two_cluster_setup_clouds,
-    )
+    from .deformation import eta_epsilon_batch, make_setup, two_cluster_setup_clouds
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(ns.circle_samples)
-    r = delta0 / 3.0
-    bounds = estimate_bounds(f, k0i, k0e, r,
-                             SampleSpec(budget=ns.budget, rng_seed=ns.seed))
-    setup = make_setup(f, k0i, k0e, delta0, r, bounds)
+    setup = make_setup(f, k0i, k0e, delta0, budget=ns.budget, seed=ns.seed)
 
     rng = np.random.default_rng(ns.seed)
     seeds = []

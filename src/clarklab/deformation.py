@@ -9,13 +9,17 @@ point of [I <= -eps] into [I <= -d] or into the 3r-neighborhood of the
 exterior cluster; that inclusion is the tested contract, not an
 assumption — violations raise with the offending trace attached.
 
-All gradient bounds (rho, nu, nu_eps) are sampled estimates with a 0.9
-safety factor, flagged as empirical; nothing here proves them.
+The setup is derived, not declared: the clusters' separation 2*delta0
+fixes r = delta0/3, the gradient bounds (rho, nu, nu_eps) are sampled,
+and d = min(rho, nu*r)/3, eps = d/2 and t_eps = 2d/nu_eps follow.  The
+bounds are sampled estimates with a 0.9 safety factor, flagged as
+empirical; nothing here proves them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +69,7 @@ class TwoClusterFunctional(Functional):
         return 2.0 * self._dw(s)[..., None] * c
 
 
-def two_cluster_setup_clouds(circle_samples: int = 64):
+def two_cluster_setup_clouds(circle_samples: int):
     """The synthetic functional with its zero-level partition: interior
     cluster {0}, exterior cluster = unit circle samples (exactly
     symmetric by construction), separation 1 = 2*delta0."""
@@ -84,12 +88,6 @@ def two_cluster_setup_clouds(circle_samples: int = 64):
 # ---------------------------------------------------------------------------
 # empirical gradient bounds
 
-@dataclass(frozen=True)
-class SampleSpec:
-    budget: int = 20000
-    rng_seed: int = 0
-
-
 # samples are uniform in the box [-_BOX_HALFWIDTH, _BOX_HALFWIDTH]^dim; rho
 # is the first rung of _RHO_LADDER whose band keeps the sampled gradient
 # infimum above _NU_FLOOR
@@ -98,75 +96,54 @@ _RHO_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _NU_FLOOR = 1e-3
 
 
-@dataclass
-class BoundsEstimate:
-    """Sampled lower-confidence bounds for the gradient on the level
-    bands.  nu = 0.9 x inf |grad| over [-rho <= I <= 0] minus the
-    r-neighborhood of the whole zero cluster; nu_eps(eps) the same over
-    [-rho <= I <= -eps] minus the r-neighborhood of the exterior cluster
-    only, capped at nu.  Empirical, not proven."""
-
-    rho: float
-    nu: float
-    r: float
-    sample_values: np.ndarray = field(repr=False)
-    sample_residuals: np.ndarray = field(repr=False)
-    sample_dist_k0e: np.ndarray = field(repr=False)
-
-    def nu_eps(self, eps: float) -> float:
-        if not (0 < eps):
-            raise InvalidParams("eps must be positive")
-        keep = ((self.sample_values >= -self.rho)
-                & (self.sample_values <= -eps)
-                & (self.sample_dist_k0e > self.r))
-        if not np.any(keep):
-            return self.nu
-        inf = float(np.min(self.sample_residuals[keep]))
-        if inf <= _NU_FLOOR:
-            raise SetupInconsistent(
-                f"sampled gradient infimum {inf:.3e} on the eps-band is not "
-                f"bounded away from zero (floor {_NU_FLOOR:.1e})")
-        return min(0.9 * inf, self.nu)
-
-
-def estimate_bounds(f: Functional, k0_cloud: Cloud, k0e_cloud: Cloud, r: float,
-                    spec: SampleSpec | None = None) -> BoundsEstimate:
-    """Pick rho off a shrinking ladder so that the sampled gradient norm
-    over [-rho <= I <= 0] minus N_r(zero cluster) stays above the floor;
-    nu is 0.9 x that sampled infimum.  The exterior distances are folded
-    in, so k0_cloud may be the interior cluster or the whole zero cluster."""
-    if len(k0_cloud) == 0 or len(k0e_cloud) == 0:
-        raise InvalidParams("cluster clouds must be nonempty")
-    if r <= 0:
-        raise InvalidParams("r must be positive")
-    spec = spec or SampleSpec()
-    rng = np.random.default_rng(spec.rng_seed)
-    dim = f.space.dim
-    u = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(spec.budget, dim))
+def estimate_bounds(f: Functional, k0i: Cloud, k0e: Cloud, r: float,
+                    budget: int, seed: int):
+    """Sampled bounds (rho, nu, nu_eps) from ``budget`` points: nu is 0.9 x
+    inf |grad| over [-rho <= I <= 0] minus N_r(k0i u k0e), nu_eps the same
+    over [-rho <= I <= -eps] minus N_r(k0e) at the setup's eps, capped at
+    nu.  Empirical, not proven."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-_BOX_HALFWIDTH, _BOX_HALFWIDTH, size=(budget, f.space.dim))
     values = np.asarray(f.value_of(u))
-    grads = f.grad_of(u)
-    residuals = np.asarray(f.space.norm(grads))
-    dist_k0e = nearest_distances(u, k0e_cloud.coords)
-    dist_k0 = np.minimum(nearest_distances(u, k0_cloud.coords), dist_k0e)
+    residuals = np.asarray(f.space.norm(f.grad_of(u)))
+    dist_k0e = nearest_distances(u, k0e.coords)
+    dist_k0 = np.minimum(nearest_distances(u, k0i.coords), dist_k0e)
 
     for rho in _RHO_LADDER:
         band = (values >= -rho) & (values <= 0.0) & (dist_k0 > r)
-        if not np.any(band):
-            continue
-        inf = float(np.min(residuals[band]))
+        inf = float(np.min(residuals[band])) if np.any(band) else 0.0
         if inf > _NU_FLOOR:
-            return BoundsEstimate(rho=float(rho), nu=0.9 * inf, r=float(r),
-                                  sample_values=values,
-                                  sample_residuals=residuals,
-                                  sample_dist_k0e=dist_k0e)
-    raise SetupInconsistent(
-        "every ladder rho leaves near-critical samples in the band outside "
-        "the excluded neighborhoods; the cluster partition does not match "
-        "this functional")
+            break
+    else:
+        raise SetupInconsistent(
+            "every ladder rho leaves near-critical samples in the band outside "
+            "the excluded neighborhoods; the cluster partition does not match "
+            "this functional")
+    nu = 0.9 * inf
+    eps = min(rho, nu * r) / 3.0 / 2.0
+    keep = (values >= -rho) & (values <= -eps) & (dist_k0e > r)
+    inf = float(np.min(residuals[keep], initial=np.inf))
+    if inf <= _NU_FLOOR:
+        raise SetupInconsistent(
+            f"sampled gradient infimum {inf:.3e} on the eps-band is not "
+            f"bounded away from zero (floor {_NU_FLOOR:.1e})")
+    return rho, nu, min(0.9 * inf, nu)
 
 
 # ---------------------------------------------------------------------------
 # setup and the cutoff field
+
+def _check_clusters(k0i: Cloud, k0e: Cloud, delta0: float):
+    if len(k0i) == 0 or len(k0e) == 0:
+        raise InvalidParams("cluster clouds must be nonempty")
+    if not delta0 > 0:
+        raise InvalidParams("delta0 must be positive")
+    sep = float(nearest_distances(k0i.coords, k0e.coords).min())
+    if sep < 2.0 * delta0 - 1e-12:
+        raise InvalidParams(
+            f"cluster separation {sep:.6f} below 2*delta0 = {2 * delta0:.6f}")
+    Cloud(k0e.coords, symmetric=True)  # oddness needs a symmetric exterior cloud
+
 
 @dataclass(frozen=True)
 class DeformationSetup:
@@ -174,30 +151,28 @@ class DeformationSetup:
     k0i: Cloud
     k0e: Cloud
     delta0: float
-    r: float
     rho: float
     nu: float
     nu_eps: float
-    d: float
-    eps: float
 
     def __post_init__(self):
-        if not (0 < self.r <= self.delta0 / 3.0):
-            raise InvalidParams("need 0 < r <= delta0/3")
-        sep = float(nearest_distances(self.k0i.coords, self.k0e.coords).min())
-        if sep < 2.0 * self.delta0 - 1e-12:
-            raise InvalidParams(
-                f"cluster separation {sep:.6f} below 2*delta0 = {2 * self.delta0:.6f}")
-        d_expected = min(self.rho, self.nu * self.r) / 3.0
-        if abs(self.d - d_expected) > 1e-12 * max(1.0, d_expected):
-            raise InvalidParams("d must equal min(rho, nu*r)/3")
-        if not (0 < self.eps <= self.d / 2.0):
-            raise InvalidParams("need 0 < eps <= d/2")
+        _check_clusters(self.k0i, self.k0e, self.delta0)
         if not (0 < self.nu_eps <= self.nu):
             raise InvalidParams("need 0 < nu_eps <= nu")
-        Cloud(self.k0e.coords, symmetric=True)  # oddness needs a symmetric exterior cloud
 
-    @property
+    @cached_property
+    def r(self) -> float:
+        return self.delta0 / 3.0
+
+    @cached_property
+    def d(self) -> float:
+        return min(self.rho, self.nu * self.r) / 3.0
+
+    @cached_property
+    def eps(self) -> float:
+        return self.d / 2.0
+
+    @cached_property
     def t_eps(self) -> float:
         return 2.0 * self.d / self.nu_eps
 
@@ -209,18 +184,13 @@ class DeformationSetup:
         }
 
 
-def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float, r: float,
-               bounds: BoundsEstimate) -> DeformationSetup:
-    """The deformation setup at d = min(rho, nu*r)/3 and eps = d/2.  The
-    bounds must have been sampled at the same r: nu_eps excludes bounds.r
-    around the exterior cluster."""
-    if r != bounds.r:
-        raise InvalidParams(f"r = {r} differs from the r = {bounds.r} the bounds were sampled at")
-    d = min(bounds.rho, bounds.nu * r) / 3.0
-    eps = d / 2.0
-    return DeformationSetup(f=f, k0i=k0i, k0e=k0e, delta0=delta0, r=r,
-                            rho=bounds.rho, nu=bounds.nu,
-                            nu_eps=bounds.nu_eps(eps), d=d, eps=eps)
+def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float,
+               budget: int = 20000, seed: int = 0) -> DeformationSetup:
+    """The deformation setup of the interior cluster k0i and the exterior
+    cluster k0e at delta0, with its bounds sampled at r = delta0/3."""
+    _check_clusters(k0i, k0e, delta0)
+    rho, nu, nu_eps = estimate_bounds(f, k0i, k0e, delta0 / 3.0, budget, seed)
+    return DeformationSetup(f, k0i, k0e, delta0, rho, nu, nu_eps)
 
 
 def _field_batch(setup: DeformationSetup, u: np.ndarray):
@@ -274,11 +244,17 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace
     is within _ERR_TOL, and the integration fails only when a step at
     h <= 1e-12 still misses it.  One evaluation per point gives its field
     and energy.  Returns the terminal rows plus the worst energy uptick and
-    speed ratio of the batch (0.0 for no rows).  A list passed as ``trace``
-    receives (time, rows, energies) at the start and after each accepted step."""
+    speed ratio of the batch.  An empty batch makes no evaluation: it
+    returns at once with 0.0 for both, in one step to t_final.  A list
+    passed as ``trace`` receives (time, rows, energies) at the start and
+    after each accepted step."""
     if t_final < 0:
         raise InvalidParams("flow time must be nonnegative")
     u = np.atleast_2d(np.array(seeds, dtype=float))
+    if len(u) == 0:
+        if trace is not None:
+            trace += [(0.0, u, np.empty(0)), (t_final, u, np.empty(0))]
+        return u, 0.0, 0.0
     h = h_max = 0.01 * setup.r
     t = 0.0
     field, energy = _field_batch(setup, u)

@@ -10,14 +10,7 @@ import time
 import numpy as np
 
 from clarklab.bvp import nodal_family, reshoot_values
-from clarklab.deformation import (
-    SampleSpec,
-    estimate_bounds,
-    eta_epsilon_batch,
-    flow,
-    make_setup,
-    two_cluster_setup_clouds,
-)
+from clarklab.deformation import eta_epsilon_batch, flow, make_setup, two_cluster_setup_clouds
 from clarklab.functionals import fd_gradient_check
 from clarklab.minimax import cj_upper_bound
 from clarklab.models import (
@@ -114,10 +107,7 @@ def test_criterion_04_single_axis_sequence_accumulates_at_the_pole():
 def test_criterion_05_deformation_contract_on_the_two_cluster_setup():
     started = time.time()
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(64)
-    r = delta0 / 3.0
-    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
-    bounds = estimate_bounds(f, k0_all, k0e, r, SampleSpec(budget=20000, rng_seed=0))
-    setup = make_setup(f, k0i, k0e, delta0, r, bounds)
+    setup = make_setup(f, k0i, k0e, delta0, budget=20000, seed=0)
 
     rng = np.random.default_rng(0)
     seeds = []

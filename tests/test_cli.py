@@ -325,3 +325,26 @@ def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     if data_file is not None:
         assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ("enumerate", "--n", "2", "--z-samples", "11"),
+    ("minimax", "--n", "4", "--jmax", "3"),
+    ("bvp", "--kmax", "3"),
+    ("psdiag", "--n", "6"),
+], ids=["enumerate", "minimax", "bvp", "psdiag"])
+def test_experiments_that_draw_nothing_ignore_the_seed(tmp_path, args):
+    # --seed is taken by every experiment, but these four draw no random
+    # numbers: their results differ only in the echoed seed, their data not at all
+    outs = [tmp_path / f"seed{seed}" for seed in (0, 1)]
+    for seed, out in enumerate(outs):
+        proc = run_cli(*args, "--seed", str(seed), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    results = [read_json(out / "results.json") for out in outs]
+    assert [r.pop("seed") for r in results] == [0, 1]
+    assert results[0] == results[1]
+    data = [{p.name for p in out.iterdir()} - {"results.json", "manifest.json"}
+            for out in outs]
+    assert data[0] == data[1]
+    for name in data[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -10,10 +10,8 @@ from clarklab import cli, deformation
 from clarklab.deformation import (
     DeformationSetup,
     FlowTrace,
-    SampleSpec,
     TwoClusterFunctional,
     _field_batch,
-    estimate_bounds,
     eta_epsilon_batch,
     flow,
     flow_batch,
@@ -27,10 +25,7 @@ from clarklab.topology import Cloud, nearest_distances
 
 def build_setup(circle_samples=32, budget=6000):
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(circle_samples)
-    r = delta0 / 3.0
-    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
-    bounds = estimate_bounds(f, k0_all, k0e, r, SampleSpec(budget=budget, rng_seed=0))
-    return f, k0i, k0e, delta0, make_setup(f, k0i, k0e, delta0, r, bounds)
+    return f, k0i, k0e, delta0, make_setup(f, k0i, k0e, delta0, budget=budget, seed=0)
 
 
 def in_band_seeds(f, eps, count, rng):
@@ -87,38 +82,27 @@ def test_estimated_bounds_and_derived_constants():
 
 
 def test_bounds_estimation_validates_inputs():
-    f, k0i, k0e, _ = two_cluster_setup_clouds(8)
-    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
+    f, k0i, k0e, delta0 = two_cluster_setup_clouds(8)
     with pytest.raises(InvalidParams):
-        estimate_bounds(f, k0_all, k0e, 0.0)
+        make_setup(f, Cloud(np.zeros((0, 2))), k0e, delta0)
     with pytest.raises(InvalidParams):
-        estimate_bounds(f, Cloud(np.zeros((0, 2))), k0e, 0.1)
+        make_setup(f, k0i, Cloud(np.zeros((0, 2))), delta0)
+    for bad in (0.0, -0.1):
+        with pytest.raises(InvalidParams):
+            make_setup(f, k0i, k0e, bad)
 
 
 def test_setup_invariants_are_enforced():
     f, k0i, k0e, delta0, setup = build_setup()
     from dataclasses import replace
     with pytest.raises(InvalidParams):
-        replace(setup, r=delta0)              # r must stay <= delta0/3
-    with pytest.raises(InvalidParams):
-        replace(setup, d=setup.d * 2.0)       # d is pinned to min(rho, nu r)/3
-    with pytest.raises(InvalidParams):
-        replace(setup, eps=setup.d)           # eps must stay <= d/2
-    with pytest.raises(InvalidParams):
         replace(setup, nu_eps=setup.nu * 2.0)
-
-
-def test_setup_rejects_bounds_sampled_at_another_r():
-    # nu_eps excludes bounds.r around the exterior cluster, so a setup at
-    # any other r would rest on bounds sampled for other geometry
-    f, k0i, k0e, delta0 = two_cluster_setup_clouds(32)
-    r = delta0 / 3.0
-    k0_all = Cloud(np.concatenate([k0i.coords, k0e.coords]))
-    bounds = estimate_bounds(f, k0_all, k0e, r, SampleSpec(budget=6000, rng_seed=0))
-    for other in (0.5 * r, np.nextafter(r, 0.0)):
-        with pytest.raises(InvalidParams):
-            make_setup(f, k0i, k0e, delta0, other, bounds)
-    assert make_setup(f, k0i, k0e, delta0, r, bounds).r == r
+    with pytest.raises(InvalidParams):
+        replace(setup, delta0=0.6)            # the clusters sit 1 < 2*delta0 apart
+    # r, d and eps follow from the fields and cannot be set
+    for derived in ("r", "d", "eps"):
+        with pytest.raises(TypeError):
+            replace(setup, **{derived: getattr(setup, derived)})
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +259,7 @@ def test_a_contract_violation_raises_with_the_offending_seeds_trace(monkeypatch)
     eta_epsilon_batch(setup, seeds)   # the whole flow time meets the contract
     # a tenth of it leaves the ring short of the target
     real = DeformationSetup.t_eps
-    monkeypatch.setattr(DeformationSetup, "t_eps", property(lambda s: 0.1 * real.fget(s)))
+    monkeypatch.setattr(DeformationSetup, "t_eps", property(lambda s: 0.1 * real.func(s)))
     out, _, _ = flow_batch(setup, seeds, setup.t_eps)
     missed = np.flatnonzero((np.asarray(f.value_of(out)) > -setup.d + 1e-9)
                             & (cdist(out, k0e.coords).min(axis=1) >= 3.0 * setup.r))
@@ -508,7 +492,16 @@ def test_a_flow_evaluates_each_point_once(monkeypatch):
     assert counts["value"] == counts["field"]
 
 
-def test_an_empty_batch_flows_to_empty_rows():
+def test_an_empty_batch_flows_to_empty_rows(monkeypatch):
+    # no row moves, so neither call evaluates the field
+    calls = []
+    real = deformation._field_batch
+
+    def counted_field(setup, u):
+        calls.append(len(u))
+        return real(setup, u)
+
+    monkeypatch.setattr(deformation, "_field_batch", counted_field)
     empty = np.empty((0, 2))
     trace = []
     out, uptick, speed = flow_batch(_SETUP, empty, _SETUP.t_eps, trace)
@@ -518,3 +511,4 @@ def test_an_empty_batch_flows_to_empty_rows():
     out, uptick, speed = eta_epsilon_batch(_SETUP, empty)
     assert out.shape == (0, 2)
     assert (uptick, speed) == (0.0, 0.0)
+    assert calls == []

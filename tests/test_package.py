@@ -106,3 +106,26 @@ def test_the_package_root_binds_only_its_version():
     assert [type(node) for node in body] == [ast.Expr, ast.Assign]
     assert isinstance(body[0].value.value, str)
     assert [ast.unparse(target) for target in body[1].targets] == ["__version__"]
+
+
+def _settable_values(tree):
+    """Every parameter default and every dataclass field default: the
+    values a caller may set without being asked to."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    # a value the code can work out from its inputs is computed, not asked
+    # for; the ceiling is the count the package has reached, and only falls
+    total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
+                for path in sorted(SRC.glob("*.py")))
+    assert total <= 24
