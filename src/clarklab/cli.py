@@ -200,16 +200,10 @@ def _run_scan(ns, out: Path):
 
 
 def _run_deform(ns, out: Path):
-    from .deformation import eta_epsilon_batch, make_setup, two_cluster_setup_clouds
+    from .deformation import band_seeds, eta_epsilon_batch, make_setup, two_cluster_setup_clouds
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(ns.circle_samples)
     setup = make_setup(f, k0i, k0e, delta0, budget=ns.budget, seed=ns.seed)
-
-    rng = np.random.default_rng(ns.seed)
-    seeds = []
-    while len(seeds) < ns.samples:
-        cand = rng.uniform(-1.6, 1.6, size=(4 * ns.samples, 2))
-        seeds.extend(cand[f.value_of(cand) <= -setup.eps].tolist())
-    seeds = np.array(seeds[: ns.samples])
+    seeds = band_seeds(f, setup.eps, ns.samples, np.random.default_rng(ns.seed))
 
     # eta is odd when the time-T images of s and -s cancel; the mirrors of the
     # first k seeds ride in the flow, and as the field is odd they keep its steps

@@ -10,7 +10,13 @@ import time
 import numpy as np
 
 from clarklab.bvp import nodal_family, reshoot_values
-from clarklab.deformation import eta_epsilon_batch, flow, make_setup, two_cluster_setup_clouds
+from clarklab.deformation import (
+    band_seeds,
+    eta_epsilon_batch,
+    flow,
+    make_setup,
+    two_cluster_setup_clouds,
+)
 from clarklab.functionals import fd_gradient_check
 from clarklab.minimax import cj_upper_bound
 from clarklab.models import (
@@ -109,12 +115,7 @@ def test_criterion_05_deformation_contract_on_the_two_cluster_setup():
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(64)
     setup = make_setup(f, k0i, k0e, delta0, budget=20000, seed=0)
 
-    rng = np.random.default_rng(0)
-    seeds = []
-    while len(seeds) < 500:
-        cand = rng.uniform(-1.6, 1.6, size=(2000, 2))
-        seeds.extend(cand[f.value_of(cand) <= -setup.eps].tolist())
-    seeds = np.array(seeds[:500])
+    seeds = band_seeds(f, setup.eps, 500, np.random.default_rng(0))
 
     terminals, max_uptick, max_speed = eta_epsilon_batch(setup, seeds)
     vals = f.value_of(terminals)

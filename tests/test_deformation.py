@@ -12,6 +12,7 @@ from clarklab.deformation import (
     FlowTrace,
     TwoClusterFunctional,
     _field_batch,
+    band_seeds,
     eta_epsilon_batch,
     flow,
     flow_batch,
@@ -26,15 +27,6 @@ from clarklab.topology import Cloud, nearest_distances
 def build_setup(circle_samples=32, budget=6000):
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(circle_samples)
     return f, k0i, k0e, delta0, make_setup(f, k0i, k0e, delta0, budget=budget, seed=0)
-
-
-def in_band_seeds(f, eps, count, rng):
-    seeds = []
-    while len(seeds) < count:
-        cand = rng.uniform(-1.6, 1.6, size=(4 * count, 2))
-        keep = cand[np.asarray(f.value_of(cand)) <= -eps]
-        seeds.extend(keep.tolist())
-    return np.array(seeds[:count])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +103,7 @@ def test_setup_invariants_are_enforced():
 def test_pseudo_gradient_is_odd_unit_capped_and_cut_off():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(1)
-    seeds = in_band_seeds(f, setup.eps, 40, rng)
+    seeds = band_seeds(f, setup.eps, 40, rng)
     v, vals = _field_batch(setup, seeds)
     assert np.array_equal(v, -_field_batch(setup, -seeds)[0])
     assert np.array_equal(vals, f.value_of(seeds))
@@ -127,7 +119,7 @@ def test_pseudo_gradient_is_odd_unit_capped_and_cut_off():
 def test_field_descends_where_active():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(2)
-    seeds = in_band_seeds(f, setup.eps, 30, rng)
+    seeds = band_seeds(f, setup.eps, 30, rng)
     v = _field_batch(setup, seeds)[0]
     active = np.linalg.norm(v, axis=1) > 0
     # moving along -v decreases I
@@ -153,7 +145,7 @@ def test_flow_trace_is_monotone_and_speed_bounded():
 def test_flow_batch_matches_single_flow_endpoints():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(3)
-    seeds = in_band_seeds(f, setup.eps, 5, rng)
+    seeds = band_seeds(f, setup.eps, 5, rng)
     out, uptick, speed = flow_batch(setup, seeds, setup.t_eps)
     assert uptick <= 1e-12
     assert speed <= 1.0 + 1e-8
@@ -168,7 +160,7 @@ def test_flow_batch_matches_single_flow_endpoints():
 def test_a_flow_shorter_than_the_step_floor_completes():
     # one accepted step of length 5e-13 <= 1e-12 is not a collapse
     f, k0i, k0e, delta0, setup = build_setup()
-    seeds = in_band_seeds(f, setup.eps, 3, np.random.default_rng(5))
+    seeds = band_seeds(f, setup.eps, 3, np.random.default_rng(5))
     out, _, speed = flow_batch(setup, seeds, 5e-13)
     assert np.max(np.abs(out - seeds)) <= 1e-12
     assert speed <= 1.0 + 1e-8
@@ -182,7 +174,7 @@ def test_a_flow_shorter_than_the_step_floor_completes():
 def test_deformation_lands_in_the_target_or_near_the_exterior_cluster():
     f, k0i, k0e, delta0, setup = build_setup()
     rng = np.random.default_rng(4)
-    seeds = in_band_seeds(f, setup.eps, 60, rng)
+    seeds = band_seeds(f, setup.eps, 60, rng)
     out, uptick, speed = eta_epsilon_batch(setup, seeds)
     assert uptick <= 1e-12
     assert speed <= 1.0 + 1e-8
@@ -207,7 +199,7 @@ def test_deformation_is_odd_on_paired_seeds():
 
 def test_batched_eta_is_exactly_odd_on_stacked_pairs():
     f, k0i, k0e, delta0, setup = build_setup()
-    seeds = in_band_seeds(f, setup.eps, 6, np.random.default_rng(7))
+    seeds = band_seeds(f, setup.eps, 6, np.random.default_rng(7))
     pairs = np.concatenate([seeds, -seeds])
     out, _, _ = eta_epsilon_batch(setup, pairs)
     # value and cutoffs are even and the gradient odd, so the shared step
@@ -255,7 +247,7 @@ def test_a_contract_violation_raises_with_the_offending_seeds_trace(monkeypatch)
     ang = np.linspace(0.0, np.pi, 5)[:-1]
     ring = 0.09 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     assert np.all(np.asarray(f.value_of(ring)) > -setup.d)
-    seeds = np.concatenate([in_band_seeds(f, setup.eps, 10, np.random.default_rng(4)), ring])
+    seeds = np.concatenate([band_seeds(f, setup.eps, 10, np.random.default_rng(4)), ring])
     eta_epsilon_batch(setup, seeds)   # the whole flow time meets the contract
     # a tenth of it leaves the ring short of the target
     real = DeformationSetup.t_eps
@@ -390,6 +382,26 @@ def test_field_equals_the_unskipped_reference_byte_for_byte(rows):
     assert not np.any(field[np.isnan(vals)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(sorted(_FIELD_BANDS) + ["nan"]),
+                               st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi)),
+                     min_size=1, max_size=8))
+def test_a_rows_field_does_not_depend_on_its_batch(rows):
+    # live rows and stacked stages rest on this: a row's field and energy
+    # are the same bytes alone, inside any batch, and in a batch stacked twice
+    u = np.array([np.full(2, np.nan) if k == "nan"
+                  else (_FIELD_BANDS[k][0] + frac * (_FIELD_BANDS[k][1] - _FIELD_BANDS[k][0]))
+                  * np.array([np.cos(a), np.sin(a)]) for k, frac, a in rows])
+    n = len(u)
+    inside = _field_batch(_SETUP, u)
+    stacked = _field_batch(_SETUP, np.concatenate([u, u]))
+    for i in range(n):
+        alone = _field_batch(_SETUP, u[i:i + 1])
+        for field, vals in (inside, stacked, (stacked[0][n:], stacked[1][n:])):
+            assert field[i].tobytes() == alone[0][0].tobytes()
+            assert vals[i].tobytes() == alone[1][0].tobytes()
+
+
 def test_the_field_measures_the_exterior_distance_only_where_the_energy_ramp_is_open(
         monkeypatch):
     angles = np.array([0.3, 1.9, 4.0, 2.5, 5.2])
@@ -485,11 +497,77 @@ def test_a_flow_evaluates_each_point_once(monkeypatch):
     trace = []
     flow_batch(_SETUP, seeds, t_final, trace)
     assert len(trace) - 1 == accepted
-    # the start, ten calls per attempt (three per RK4 step from a given
-    # first stage, plus the midpoint's), one per accepted point
-    assert counts["field"] == 1 + 10 * attempts + accepted
+    # the start, seven calls per attempt (three for the full step and the
+    # first half step stacked, the midpoint's, three for the second half
+    # step), one per accepted point
+    assert counts["field"] == 1 + 7 * attempts + accepted
     # every energy comes out of a field call
     assert counts["value"] == counts["field"]
+
+
+def test_a_row_whose_field_is_zero_is_in_no_later_field_call(monkeypatch):
+    # two frozen rows (deep below the band, next to the circle) and three
+    # moving ones
+    seeds = np.array([[0.1, 0.0], [0.55, 0.0], [0.0, -1.41], [0.0, 0.97], [-0.1, 0.0]])
+    seen = []
+    real = deformation._field_batch
+
+    def recorded(setup, u):
+        seen.append(np.array(u))
+        return real(setup, u)
+
+    class Marked(list):
+        """A trace that notes how many field calls preceded each entry."""
+        def append(self, entry):
+            super().append((len(seen), entry))
+
+    monkeypatch.setattr(deformation, "_field_batch", recorded)
+    trace = Marked()
+    flow_batch(_SETUP, seeds, 0.3 * _SETUP.t_eps, trace)
+    assert np.array_equal(seen[0], seeds)
+    assert {len(u) for u in seen[1:]} == {3, 6}
+    for mark, (_, rows, _) in trace:
+        frozen = rows[~np.any(real(_SETUP, rows)[0], axis=1)]
+        assert len(frozen) >= 2
+        for later in seen[mark:]:
+            assert not np.any(np.all(later[:, None, :] == frozen[None, :, :], axis=2))
+
+
+def test_a_batch_that_starts_frozen_makes_one_field_call(monkeypatch):
+    deep = 0.55 * np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    assert np.all(np.asarray(_SETUP.f.value_of(deep)) <= -2.0 * _SETUP.d)
+    ref_trace = []
+    _unfused_flow_reference(_SETUP, deep[:1], _SETUP.t_eps, ref_trace)
+    calls = []
+    real = deformation._field_batch
+
+    def counted_field(setup, u):
+        calls.append(len(u))
+        return real(setup, u)
+
+    monkeypatch.setattr(deformation, "_field_batch", counted_field)
+    out, uptick, speed = flow_batch(_SETUP, deep, _SETUP.t_eps)
+    assert calls == [3]
+    assert np.array_equal(out, deep)
+    assert (uptick, speed) == (0.0, 0.0)
+    # the trace still takes every step of the reference, with no evaluation
+    tr = flow(_SETUP, Point(deep[0], _SETUP.f.space), _SETUP.t_eps)
+    assert calls == [3, 1]
+    assert tr.times.tolist() == [t for t, _, _ in ref_trace]
+    assert np.array_equal(tr.points, np.array([rows[0] for _, rows, _ in ref_trace]))
+    assert tr.energies.tolist() == [float(e[0]) for _, _, e in ref_trace]
+
+
+def test_a_nan_row_is_frozen_and_leaves_the_other_rows_alone():
+    # its field is shut, so it adds nothing to the step-doubling error
+    seeds = np.array([[0.1, 0.0], [0.0, -1.41]])
+    t_final = 0.1 * _SETUP.t_eps
+    alone = flow_batch(_SETUP, seeds, t_final)
+    out, uptick, speed = flow_batch(_SETUP, np.concatenate([seeds, np.full((1, 2), np.nan)]),
+                                    t_final)
+    assert np.array_equal(out[:2], alone[0])
+    assert (uptick, speed) == alone[1:]
+    assert np.all(np.isnan(out[2]))
 
 
 def test_an_empty_batch_flows_to_empty_rows(monkeypatch):
