@@ -10,6 +10,10 @@ advances all of them in lockstep with per-row step sizes, which is what
 makes thousand-seed scans cheap in numpy.  Its arrays hold only the rows
 still running: a row's result is recorded on the iteration it stops, and
 the row leaves the arrays then, so every step works on whole arrays.
+An iteration takes the accepted proposals with one masked select per
+array (``np.where`` on the acceptance mask), so accepted and rejected
+rows go through the same few calls and a rejected row keeps its old
+values bit for bit.
 
 A functional may split its coordinates into blocks (``step_blocks``).
 Each block of each row then keeps its own Armijo step and its own flow
@@ -122,8 +126,8 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
 
     k = 0
     while True:
-        if np.any(done):
-            flow_time = np.min(tau, axis=1)
+        if done.any():
+            flow_time = tau.min(axis=1)
             for i in np.flatnonzero(done):
                 if res[i] <= cfg.residual_tol:
                     stop = STOP_CONVERGED
@@ -151,25 +155,25 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             gb = grad[:, sl]
             prop = u.copy()
             prop[:, sl] -= hb[:, None] * gb
-            gnorm2 = np.sum(gb * gb, axis=1)
+            gnorm2 = np.add.reduce(gb * gb, axis=1)
         e_prop, g_prop = f.value_and_grad(prop)
         slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy))
         accept = e_prop <= energy - _ARMIJO * hb * gnorm2 + slack
 
-        acc = np.flatnonzero(accept)
-        u[acc] = prop[acc]
-        energy[acc] = e_prop[acc]
-        tau[acc, b] += hb[acc]
-        grad[acc] = g_prop[acc]
-        res[acc] = space.norm(grad[acc])
+        rowwise = accept[:, None]
+        u = np.where(rowwise, prop, u)
+        energy = np.where(accept, e_prop, energy)
+        grad = np.where(rowwise, g_prop, grad)
+        res = np.where(accept, space.norm(g_prop), res)
+        # flow times are >= +0, so adding 0.0 leaves a rejected row's bits
+        tau[:, b] += np.where(accept, hb, 0.0)
         # a block whose gradient vanishes exactly (the model's t at the
         # clamp corners) keeps its step, so an uncapped step stays finite
-        grow = acc[gnorm2[acc] > 0.0]
-        h[grow, b] = np.minimum(h[grow, b] * _GROW, caps[b])
-        h[~accept, b] *= _SHRINK
+        h[:, b] = np.where(accept, np.where(gnorm2 > 0.0, np.minimum(hb * _GROW, caps[b]), hb),
+                           hb * _SHRINK)
         k += 1
 
-        done = ((res <= cfg.residual_tol) | (np.min(tau, axis=1) >= cfg.max_flow_time)
+        done = ((res <= cfg.residual_tol) | (tau.min(axis=1) >= cfg.max_flow_time)
                 | (h[:, b] < _MIN_STEP))
 
 

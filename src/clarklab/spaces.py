@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .errors import DimensionError, InvalidParams, InvalidPoint
 
@@ -57,7 +57,7 @@ class H01Grid:
         if self.nodes < 1:
             raise InvalidParams(f"an H01 grid needs at least one node, got {self.nodes}")
 
-    @property
+    @cached_property
     def mesh_width(self):
         return 1.0 / (self.nodes + 1)
 
@@ -80,30 +80,34 @@ class H01Grid:
         ab[1, :] = 2.0 / h
         return cholesky_banded(ab, lower=False)
 
+    @cached_property
+    def _pbtrs(self):
+        # LAPACK's banded Cholesky solve for the factor's dtype
+        return get_lapack_funcs(("pbtrs",), (self._chol,))[0]
+
     @staticmethod
     def _cell_differences(u):
         """The nodes+1 cell differences of u extended by zero boundaries.
 
-        The entries, operations and contiguous layout are those of
+        They are the forward differences of u padded by one zero at each
+        end: the entries, operations and contiguous layout of
         np.diff(u, prepend=0.0, append=0.0), so every sum over them has the
-        same bits, without that call's concatenation.  The last entry is
-        0.0 - u[-1], not -u[-1], which differs in the sign of a zero.
+        same bits, without that call's argument handling.  The last entry
+        is 0.0 - u[-1], not -u[-1], which differs in the sign of a zero.
         """
         u = np.asarray(u, dtype=float)
-        du = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
-        du[..., 0] = u[..., 0]
-        np.subtract(u[..., 1:], u[..., :-1], out=du[..., 1:-1])
-        du[..., -1] = 0.0 - u[..., -1]
-        return du
+        padded = np.zeros(u.shape[:-1] + (u.shape[-1] + 2,))
+        padded[..., 1:-1] = u
+        return np.subtract(padded[..., 1:], padded[..., :-1])
 
     def inner(self, u, v):
         du = self._cell_differences(u)
         dv = self._cell_differences(v)
-        return np.sum(du * dv, axis=-1) / self.mesh_width
+        return np.add.reduce(du * dv, axis=-1) / self.mesh_width
 
     def norm(self, u):
         du = self._cell_differences(u)
-        return np.sqrt(np.sum(du * du, axis=-1) / self.mesh_width)
+        return np.sqrt(np.add.reduce(du * du, axis=-1) / self.mesh_width)
 
     def to_dual(self, g):
         """A g with A = (1/h) tridiag(-1, 2, -1): the coordinate partial
@@ -118,14 +122,20 @@ class H01Grid:
         rhs = self.mesh_width * f
         # one banded solve with every row as a right-hand-side column; LAPACK
         # solves column by column, so each row's result is the same as alone
-        # and a NaN row spoils only its own column
+        # and a NaN row spoils only its own column.  The call is the pbtrs
+        # that cho_solve_banded wraps, on the same arguments, without that
+        # wrapper's per-call batching and validation.
         flat = rhs.reshape(-1, self.nodes)
-        out = cho_solve_banded((self._chol, False), flat.T, check_finite=False).T
-        return np.ascontiguousarray(out).reshape(rhs.shape)
+        if not flat.size:
+            return rhs
+        out, info = self._pbtrs(self._chol, flat.T, lower=False)
+        if info:
+            raise LinAlgError(f"banded Cholesky solve failed: pbtrs info {info}")
+        return np.ascontiguousarray(out.T).reshape(rhs.shape)
 
     def trapezoid(self, values):
         """Trapezoid quadrature of nodal values extended by zero boundaries."""
-        return self.mesh_width * np.sum(np.asarray(values), axis=-1)
+        return self.mesh_width * np.add.reduce(np.asarray(values), axis=-1)
 
     def __str__(self):
         return f"h01-grid(nodes={self.nodes})"

@@ -1,9 +1,9 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clarklab import cli
@@ -25,7 +25,11 @@ from clarklab.solvers import (
     _MIN_STEP,
     _SHRINK,
     _STEP_CAP,
+    STOP_BUDGET,
+    STOP_CONVERGED,
+    STOP_STALLED,
     SolveConfig,
+    _RowResult,
     accumulation_scan,
     ball_seed_sampler,
     gradient_flow_solve_batch,
@@ -167,6 +171,126 @@ def _same_row(a, b, sign=1.0):
     return (np.array_equal(a.coords, sign * b.coords) and a.value == b.value
             and a.residual == b.residual and a.flow_time == b.flow_time
             and a.steps == b.steps and a.stop == b.stop)
+
+
+def _scatter_reference(f, seeds, cfg):
+    """The batch loop as written before it took accepted proposals with one
+    masked select per array: it scattered them into the running arrays by
+    index.  Returns the _RowResult list and the number of rejected row-steps."""
+    space = f.space
+    u = np.array(seeds, dtype=float)
+    if u.ndim == 1:
+        u = u[None, :]
+    results = [None] * len(u)
+    rows = np.arange(len(u))
+    blocks = f.step_blocks()
+    nb = len(blocks)
+    caps = [_STEP_CAP if capped else np.inf for _, capped in blocks]
+    h = np.full((len(u), nb), _INITIAL_STEP)
+    tau = np.zeros((len(u), nb))
+    energy, grad = f.value_and_grad(u)
+    res = space.norm(grad)
+    done = ~(res > cfg.residual_tol)
+    rejected = 0
+
+    k = 0
+    while True:
+        if np.any(done):
+            flow_time = np.min(tau, axis=1)
+            for i in np.flatnonzero(done):
+                if res[i] <= cfg.residual_tol:
+                    stop = STOP_CONVERGED
+                elif flow_time[i] >= cfg.max_flow_time:
+                    stop = STOP_BUDGET
+                else:
+                    stop = STOP_STALLED
+                results[rows[i]] = _RowResult(
+                    coords=u[i].copy(), value=float(energy[i]), residual=float(res[i]),
+                    flow_time=float(flow_time[i]), steps=k, stop=stop)
+            live = ~done
+            u, h, tau, energy, grad, res, rows = (
+                a[live] for a in (u, h, tau, energy, grad, res, rows))
+        if not rows.size:
+            return results, rejected
+
+        b = k % nb
+        hb = h[:, b]
+        if nb == 1:
+            prop = u - hb[:, None] * grad
+            gnorm2 = res * res
+        else:
+            sl = blocks[b][0]
+            gb = grad[:, sl]
+            prop = u.copy()
+            prop[:, sl] -= hb[:, None] * gb
+            gnorm2 = np.sum(gb * gb, axis=1)
+        e_prop, g_prop = f.value_and_grad(prop)
+        slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy))
+        accept = e_prop <= energy - _ARMIJO * hb * gnorm2 + slack
+        rejected += int(np.count_nonzero(~accept))
+
+        acc = np.flatnonzero(accept)
+        u[acc] = prop[acc]
+        energy[acc] = e_prop[acc]
+        tau[acc, b] += hb[acc]
+        grad[acc] = g_prop[acc]
+        res[acc] = space.norm(grad[acc])
+        grow = acc[gnorm2[acc] > 0.0]
+        h[grow, b] = np.minimum(h[grow, b] * _GROW, caps[b])
+        h[~accept, b] *= _SHRINK
+        k += 1
+
+        done = ((res <= cfg.residual_tol) | (np.min(tau, axis=1) >= cfg.max_flow_time)
+                | (h[:, b] < _MIN_STEP))
+
+
+# one block (an H01 functional) and two blocks (the coordinate model's t and x)
+REFERENCE_CASES = {
+    "wrapper": (wrapper_functional(H01Grid(4)),
+                lambda f, rng, m: ball_seed_sampler(f.space, 2.0, rng, m)),
+    "model2": (clark_model(n=2), lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
+    "model3": (clark_model(n=3), lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
+}
+
+
+def test_masked_loop_equals_the_scatter_reference_bit_for_bit():
+    rejected = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(REFERENCE_CASES)), m=st.integers(0, 6),
+           seed=rng_seeds, special=st.sampled_from(["none", "nan", "segment"]),
+           budget=st.sampled_from([0.05, 0.5, 5.0, 30.0]))
+    @example(name="wrapper", m=0, seed=0, special="none", budget=5.0)
+    @example(name="model2", m=1, seed=1, special="none", budget=30.0)
+    @example(name="wrapper", m=3, seed=2, special="nan", budget=30.0)
+    @example(name="model3", m=2, seed=3, special="segment", budget=30.0)
+    def check(name, m, seed, special, budget):
+        f, sampler = REFERENCE_CASES[name]
+        seeds = sampler(f, np.random.default_rng(seed), m)
+        if special == "nan" and m:
+            seeds[seed % m, -1] = np.nan
+        elif special == "segment" and m:
+            # the origin of the wrapper; on the model, a point of the
+            # stationary segment's line beyond the clamp, where the x-block's
+            # gradient is exactly 0 and must keep its step
+            seeds[seed % m] = 0.0
+            if name != "wrapper":
+                seeds[seed % m, 0] = (-1.0) ** seed * (1.0 + (seed % 7) * 0.3)
+        cfg = SolveConfig(max_flow_time=budget)
+        with np.errstate(invalid="ignore"):
+            expected, n_rejected = _scatter_reference(f, seeds, cfg)
+            got = gradient_flow_solve_batch(f, seeds, cfg)
+        assert len(got) == len(expected) == m
+        for a, b in zip(got, expected):
+            for field in fields(_RowResult):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert type(x) is type(y)
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+        rejected.append(n_rejected)
+
+    check()
+    # the drawn cases take the reject side of the mask too
+    assert sum(rejected) > 0
 
 
 @settings(max_examples=15, deadline=None)

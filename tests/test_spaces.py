@@ -64,9 +64,18 @@ def test_h01_riesz_representative_reproduces_load_pairing():
         assert g.inner(v, w) == pytest.approx(g.trapezoid(f * w), abs=1e-12)
 
 
+def _cho_solve_banded_riesz(g, f):
+    """The Riesz solve through scipy's cho_solve_banded, one column per row."""
+    rhs = g.mesh_width * np.asarray(f, dtype=float)
+    flat = rhs.reshape(-1, g.nodes)
+    out = cho_solve_banded((g._chol, False), flat.T, check_finite=False).T
+    return np.ascontiguousarray(out).reshape(rhs.shape)
+
+
 def test_h01_batched_riesz_equals_row_by_row_solves():
     # one multi-column banded solve must give each row exactly what a
-    # solve of that row alone gives
+    # solve of that row alone gives, and the direct LAPACK pbtrs call must
+    # give the bits of the cho_solve_banded call that wraps it
     g = H01Grid(30)
     rng = np.random.default_rng(6)
     f = rng.normal(size=(4, 7, 30))
@@ -76,7 +85,21 @@ def test_h01_batched_riesz_equals_row_by_row_solves():
         for j in range(7):
             alone = cho_solve_banded((g._chol, False), g.mesh_width * f[i, j])
             assert np.array_equal(batched[i, j], alone)
-    assert g.riesz_of_load(np.zeros((0, 30))).shape == (0, 30)
+    for load in (f, f[0], f[0, 0]):
+        got = g.riesz_of_load(load)
+        assert got.shape == load.shape and got.flags.c_contiguous
+        assert got.tobytes() == _cho_solve_banded_riesz(g, load).tobytes()
+    empty, ref = g.riesz_of_load(np.zeros((0, 30))), _cho_solve_banded_riesz(g, np.zeros((0, 30)))
+    assert empty.shape == ref.shape == (0, 30) and empty.dtype == ref.dtype == np.float64
+    # a NaN row spoils only its own row
+    f = f[1].copy()
+    f[2, 4] = np.nan
+    got = g.riesz_of_load(f)
+    assert got.tobytes() == _cho_solve_banded_riesz(g, f).tobytes()
+    assert np.all(np.isnan(got[2]))
+    keep = [0, 1, 3, 4, 5, 6]
+    assert not np.any(np.isnan(got[keep]))
+    assert got[keep].tobytes() == g.riesz_of_load(f[keep]).tobytes()
 
 
 @st.composite
