@@ -117,17 +117,6 @@ class NodalSolution:
     sup_norm: float
     strong_residual: float
 
-    def to_json_dict(self):
-        return {
-            "p": self.p,
-            "k": self.k,
-            "energy_norm_sq": self.energy_norm_sq,
-            "j_value": self.j_value,
-            "nehari_residual": self.nehari_residual,
-            "sup_norm": self.sup_norm,
-            "strong_residual": self.strong_residual,
-        }
-
 
 def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSolution:
     x = np.concatenate([[0.0], grid.grid, [1.0]])
@@ -143,6 +132,10 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     u[-1] = 0.0
 
     norm_sq = float(simpson(du * du, x=x))
+    # near p = 1 the amplitude k^(2/(p-1)) underflows: the member is lost
+    if not np.finfo(float).tiny <= norm_sq <= np.finfo(float).max:
+        raise InvalidParams(f"p = {p} takes member k = {k} out of the normal floats "
+                            f"(energy norm squared {norm_sq})")
     pot = float(simpson(np.abs(u) ** (p + 1.0), x=x))
     j_val = 0.5 * norm_sq - pot / (p + 1.0)
     nehari = abs(norm_sq - pot) / norm_sq
@@ -164,7 +157,8 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
 
 def nodal_family(p: float, kmax: int, grid: H01Grid) -> list:
     """The k-nodal-domain solutions for k = 1..kmax, each by exact
-    compression of the base arch."""
+    compression of the base arch.  Raises InvalidParams when a member's
+    energy norm squared is not a positive normal float (p near 1)."""
     if kmax < 1:
         raise InvalidParams("kmax must be >= 1")
     prof = base_profile(p)

@@ -1,10 +1,13 @@
 """Batch experiment runner.
 
 Every verification in the library is exposed as a subcommand that writes
-three kinds of artifact into --out: results.json (sorted keys; byte
-identical across runs with the same config and seed), plain RFC-4180
-CSV data files, and manifest.json (config echo, versions, wall time —
-always written, even when the run fails its checks).
+three kinds of artifact into --out: results.json (the evidence the checks
+rest on, each piece once; byte identical across runs with the same config
+and seed), plain RFC-4180 CSV data files, and manifest.json (config echo,
+versions, wall time — always written, even when the run fails its checks).
+Both JSON files are one line of compact JSON with sorted keys.  This
+module alone decides what goes into them: each runner builds its results
+from the fields of the library's reports.
 
 Exit codes: 0 success, 1 usage error or out of memory, 2 verification/contract
 failure.
@@ -148,7 +151,13 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    # compact, so the C encoder writes it
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _fields(obj, names: str) -> dict:
+    """The named attributes of a report, as a results.json object."""
+    return {name: getattr(obj, name) for name in names.split()}
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +176,9 @@ def _run_enumerate(ns, out: Path):
         "n": ns.n,
         "counts": {lbl: labels.count(lbl) for lbl in sorted(set(labels))},
         "worst_residual": worst,
-        "points": es.to_json_dict()["points"],
+        "points": [{"t": c[0], "x": c[1:], "value": v, "label": lbl, "pattern": pat}
+                   for c, v, lbl, pat in zip(es.coords.tolist(), es.values.tolist(),
+                                             labels, es.patterns)],
     }
     checks = {
         "branch_counts": labels.count("N") == 3 ** ns.n and labels.count("-N") == 3 ** ns.n,
@@ -190,8 +201,16 @@ def _run_scan(ns, out: Path):
                    report.labels))
     # one batched distance call; an empty scan's worst distance is 0
     worst = float(np.max(oracle.distance(report.coords), initial=0.0))
-    results = report.to_json_dict()
-    results["worst_oracle_distance"] = worst
+    results = {
+        **_fields(report, "window n_seeds n_converged"),
+        "entries": [{"value": v, "residual": r, "t": c[0], "dist_to_K0hat": d,
+                     "label": lbl, "pattern": pat, "coords": c}
+                    for v, r, c, d, lbl, pat in zip(
+                        report.values.tolist(), report.residuals.tolist(),
+                        report.coords.tolist(), report.dist_to_k0hat.tolist(),
+                        report.labels, report.patterns)],
+        "worst_oracle_distance": worst,
+    }
     checks = {
         "all_in_window_near_oracle": worst <= ns.oracle_tol,
         "edge_labels_only": all(lbl in ("N", "-N") for lbl in report.labels),
@@ -213,7 +232,8 @@ def _run_deform(ns, out: Path):
     odd_dev = float(np.max(np.abs(moved[:k] + moved[len(seeds):])))
 
     results = {
-        "setup": setup.to_json_dict(),
+        # the clusters are fixed by circle_samples, which params echoes
+        "setup": _fields(setup, "delta0 r rho nu nu_eps d eps t_eps"),
         "samples": int(len(seeds)),
         "max_energy_uptick": max_uptick,
         "max_speed": max_speed,
@@ -233,21 +253,16 @@ def _run_deform(ns, out: Path):
 
 
 def _run_stabilize(ns, out: Path):
-    reports = {}
-
     gap = np.concatenate([[0.0], np.arange(0.5, 1.0 + 1e-12, 0.01)])[:, None]
     rep_gap = origin_component_stabilization(Cloud(gap), (0.3, 0.2, 0.1, 0.05))
-    reports["gap_segment"] = rep_gap.to_json_dict()
 
     seg = np.arange(-1.0, 1.0 + 1e-12, 0.01)[:, None]
     rep_seg = origin_component_stabilization(Cloud(seg), (0.3, 0.2, 0.1, 0.05))
-    reports["connected_segment"] = rep_seg.to_json_dict()
 
     model = clark_model(n=2)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
     cloud = Cloud(es.coords)
     rep_model = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
-    reports["model_critical_cloud"] = rep_model.to_json_dict()
     # the all-zero sign pattern duplicates the segment endpoints, so the
     # stable origin component is every point sitting exactly on the t-axis
     axis_count = int(np.sum(np.linalg.norm(cloud.coords[:, 1:], axis=1) == 0.0))
@@ -264,6 +279,11 @@ def _run_stabilize(ns, out: Path):
         except RuntimeError:
             violations += 1
 
+    # the member sets are checked to nest in-process, which raises otherwise;
+    # the evidence is their sizes and whether they settled
+    reports = {name: _fields(rep, "schedule sizes nested_ok stabilized note")
+               for name, rep in (("gap_segment", rep_gap), ("connected_segment", rep_seg),
+                                 ("model_critical_cloud", rep_model))}
     results = {"examples": reports, "random_clouds": ns.clouds,
                "nesting_violations": violations}
     checks = {
@@ -288,7 +308,9 @@ def _run_minimax(ns, out: Path):
     levels = []
     for e in estimates:
         closed = coordinate_model_bound(e.j)[1]
-        levels.append({**e.to_json_dict(), "closed_form_bound": closed,
+        levels.append({**_fields(e, "j rho_star upper_bound"),
+                       "trace": e.sphere_sup_trace, "witness": e.witness.coords.tolist(),
+                       "closed_form_bound": closed,
                        "relative_gap": abs(e.upper_bound - closed) / abs(closed)})
     results = {"n": ns.n, "estimates": levels}
     checks = {
@@ -325,7 +347,8 @@ def _run_bvp(ns, out: Path):
                 for s in family)
     results = {
         "p": ns.p, "kmax": ns.kmax, "nodes": ns.nodes,
-        "family": [s.to_json_dict() for s in family],
+        "family": [_fields(s, "p k energy_norm_sq j_value nehari_residual sup_norm "
+                              "strong_residual") for s in family],
         "fitted_energy_slope": slope, "expected_energy_slope": expected,
         "reshoot_sup_deviation": reshoot_dev,
     }
@@ -402,6 +425,9 @@ def main(argv=None) -> int:
         parser.error("seed must be non-negative")
     if ns.threads < 1:
         parser.error("threads must be positive")
+    # an even count of segment samples misses t = 0, and with it the origin
+    if ns.experiment == "stabilize" and ns.z_samples % 2 == 0:
+        parser.error("z_samples must be odd for stabilize")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
     # minimax's levels and psdiag's sequence terms have values like 3^(-4j),

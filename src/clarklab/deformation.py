@@ -194,13 +194,6 @@ class DeformationSetup:
     def t_eps(self) -> float:
         return 2.0 * self.d / self.nu_eps
 
-    def to_json_dict(self):
-        return {
-            "delta0": self.delta0, "r": self.r, "rho": self.rho, "nu": self.nu,
-            "nu_eps": self.nu_eps, "d": self.d, "eps": self.eps, "t_eps": self.t_eps,
-            "k0i": self.k0i.to_json_list(), "k0e": self.k0e.to_json_list(),
-        }
-
 
 def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float,
                budget: int = 20000, seed: int = 0) -> DeformationSetup:

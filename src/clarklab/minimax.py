@@ -90,15 +90,6 @@ class MinimaxEstimate:
     sphere_sup_trace: list          # (rho, sup) pairs
     witness: Point
 
-    def to_json_dict(self):
-        return {
-            "j": self.j,
-            "rho_star": self.rho_star,
-            "upper_bound": self.upper_bound,
-            "trace": [[float(r), float(s)] for r, s in self.sphere_sup_trace],
-            "witness": [float(c) for c in self.witness.coords],
-        }
-
 
 def cj_upper_bound(model: ClarkModel, j: int) -> MinimaxEstimate:
     """Upper bound for the j-th minimax value: the smallest block-sphere

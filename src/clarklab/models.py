@@ -202,18 +202,11 @@ class EnumeratedCriticalSet:
     spaced parameter values.
     """
 
-    n: int
     coords: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
     labels: np.ndarray
     patterns: list
-
-    def to_json_dict(self):
-        return {"n": self.n, "points": [
-            {"t": c[0], "x": c[1:], "value": v, "label": lbl, "pattern": pat}
-            for c, v, lbl, pat in zip(self.coords.tolist(), self.values.tolist(),
-                                      self.labels.tolist(), self.patterns)]}
 
 
 def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> EnumeratedCriticalSet:
@@ -240,7 +233,7 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     # stable, so the t = +-1 segment rows stay behind the zero-pattern
     # branch points they duplicate
     order = np.lexsort(np.vstack([rows.T[::-1], values]))
-    return EnumeratedCriticalSet(n=params.n, coords=rows[order], values=values[order],
+    return EnumeratedCriticalSet(coords=rows[order], values=values[order],
                                  residuals=residuals[order], labels=labels[order],
                                  patterns=patterns[order].tolist())
 

@@ -233,20 +233,6 @@ class AccumulationReport:
     labels: list
     patterns: list
 
-    def to_json_dict(self):
-        return {
-            "window": list(self.window),
-            "n_seeds": self.n_seeds,
-            "n_converged": self.n_converged,
-            "entries": [
-                {"value": v, "residual": r, "t": c[0], "dist_to_K0hat": d,
-                 "label": lbl, "pattern": pat, "coords": c}
-                for v, r, c, d, lbl, pat in zip(
-                    self.values.tolist(), self.residuals.tolist(), self.coords.tolist(),
-                    self.dist_to_k0hat.tolist(), self.labels, self.patterns)
-            ],
-        }
-
 
 def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
                       cfg: SolveConfig | None = None, threads: int = 1) -> AccumulationReport:

@@ -90,9 +90,6 @@ class Cloud:
         i = int(np.argmin(norms))
         return i if norms[i] <= ORIGIN_TOL else None
 
-    def to_json_list(self):
-        return [[float(v) for v in row] for row in self.coords]
-
 
 def _labels_down(cloud: Cloud, schedule) -> list:
     """One chain-component label array per scale of a decreasing schedule
@@ -148,17 +145,6 @@ class StabilizationReport:
     stabilized: bool
     stable_cloud: Cloud
     note: str = ""
-
-    def to_json_dict(self):
-        return {
-            "schedule": [float(d) for d in self.schedule],
-            "member_sets": [[int(i) for i in s] for s in self.member_sets],
-            "sizes": [int(s) for s in self.sizes],
-            "nested_ok": self.nested_ok,
-            "stabilized": self.stabilized,
-            "stable_points": self.stable_cloud.to_json_list(),
-            "note": self.note,
-        }
 
 
 def origin_component_stabilization(cloud: Cloud, delta_schedule) -> StabilizationReport:

@@ -145,3 +145,8 @@ def test_nodal_solution_validates_inputs():
         nodal_family(1.5, 2, grid)
     with pytest.raises(InvalidParams):
         base_profile(0.0)
+    # near p = 1 the amplitude k^(2/(p-1)) underflows, and with it a
+    # member's energy norm: at p = 0.99 from k = 2, at p = 0.999999 from k = 1
+    for p in (0.99, 0.999999):
+        with pytest.raises(InvalidParams, match="out of the normal floats"):
+            nodal_family(p, 6, grid)

@@ -113,11 +113,13 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("scan", "--n", "25"), "n must not exceed 10"),
     (("minimax", "--n", "162", "--jmax", "162"), "jmax must not exceed 161"),
     (("psdiag", "--n", "162"), "n must not exceed 161"),
+    (("stabilize", "--z-samples", "2000"), "z_samples must be odd for stabilize"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
         "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
         "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg", "enumerate-n-11",
-        "scan-n-25", "minimax-jmax-162", "psdiag-n-162"])
+        "scan-n-25", "minimax-jmax-162", "psdiag-n-162",
+        "stabilize-z_samples-even"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1
@@ -201,6 +203,10 @@ def test_deform_small_run_passes_the_flow_contract(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
     assert results["results"]["oddness_deviation"] <= 1e-8
+    # the clusters are fixed by circle_samples, which params echoes
+    setup = results["results"]["setup"]
+    assert set(setup) == {"delta0", "r", "rho", "nu", "nu_eps", "d", "eps", "t_eps"}
+    assert all(isinstance(v, float) for v in setup.values())
     assert results["results"]["max_speed"] <= 1.0 + 1e-8
     rows = read_csv(out / "deformed.csv")
     assert len(rows) == 1 + 40
@@ -212,6 +218,9 @@ def test_stabilize_small_run_recovers_the_axis_segment(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
     examples = results["results"]["examples"]
+    # the nesting is checked in-process; no member sets or points are dumped
+    for example in examples.values():
+        assert set(example) == {"note", "nested_ok", "schedule", "sizes", "stabilized"}
     assert examples["gap_segment"]["sizes"][-1] == 1
     assert examples["connected_segment"]["stabilized"] is True
     assert examples["model_critical_cloud"]["stabilized"] is True
@@ -281,14 +290,18 @@ def test_failed_checks_exit_two_and_mark_the_manifest(tmp_path):
 
 
 def test_domain_errors_exit_two_with_a_note(tmp_path):
-    out = tmp_path / "out"
-    proc = run_cli("bvp", "--p", "1.5", "--kmax", "2", "--out", str(out))
-    assert proc.returncode == 2
-    assert "InvalidParams" in proc.stderr
-    manifest = read_json(out / "manifest.json")
-    assert manifest["status"] == "verification-failed"
-    assert manifest["note"].startswith("InvalidParams")
-    assert not (out / "results.json").exists()
+    # p = 0.99 lies in (0, 1), but the amplitude k^(2/(p-1)) of the k = 2
+    # member underflows, and with it the member's energy norm
+    for p in ("1.5", "0.99"):
+        out = tmp_path / p
+        proc = run_cli("bvp", "--p", p, "--kmax", "2", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("clarklab bvp: InvalidParams: ")
+        assert proc.stderr.count("\n") == 1
+        manifest = read_json(out / "manifest.json")
+        assert manifest["status"] == "verification-failed"
+        assert manifest["note"].startswith("InvalidParams")
+        assert not (out / "results.json").exists()
 
 
 def test_out_of_memory_exits_one_with_a_clean_line(tmp_path, monkeypatch, capsys):
@@ -323,6 +336,10 @@ def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
         proc = run_cli(*args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
+    # both JSON files are one line of compact JSON with sorted keys
+    for name in ("results.json", "manifest.json"):
+        text = (out1 / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     if data_file is not None:
         assert (out1 / data_file).read_bytes() == (out2 / data_file).read_bytes()
 

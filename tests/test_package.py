@@ -129,3 +129,23 @@ def test_settable_values_do_not_grow():
     total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
                 for path in sorted(SRC.glob("*.py")))
     assert total <= 24
+
+
+def test_only_the_cli_shapes_json():
+    # what results.json and manifest.json hold is decided in one module: no
+    # other module imports json or serializes its own reports
+    shapers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" or name.startswith("to_json")
+                   for name in names):
+                shapers.append(path.stem)
+    assert set(shapers) == {"cli"}
