@@ -93,6 +93,8 @@ SCHEMAS = {
 # schema key must be finite
 _INT_MIN = {"z_samples": 2, "kmax": 2}
 
+_MODEL_SCHEDULE = (0.02, 0.005, 2e-4, 1e-4)    # stabilize's model-cloud scales
+
 
 # options every experiment takes; like the schema keys they can come from a
 # config file, and they are not part of the experiment's results params
@@ -262,7 +264,7 @@ def _run_stabilize(ns, out: Path):
     model = clark_model(n=2)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
     cloud = Cloud(es.coords)
-    rep_model = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
+    rep_model = origin_component_stabilization(cloud, _MODEL_SCHEDULE)
     # the all-zero sign pattern duplicates the segment endpoints, so the
     # stable origin component is every point sitting exactly on the t-axis
     axis_count = int(np.sum(np.linalg.norm(cloud.coords[:, 1:], axis=1) == 0.0))
@@ -425,9 +427,12 @@ def main(argv=None) -> int:
         parser.error("seed must be non-negative")
     if ns.threads < 1:
         parser.error("threads must be positive")
-    # an even count of segment samples misses t = 0, and with it the origin
+    # an even count of segment samples misses t = 0, and with it the origin;
+    # they chain at the finest scale delta only if 2 / (z_samples - 1) < 2 delta
     if ns.experiment == "stabilize" and ns.z_samples % 2 == 0:
         parser.error("z_samples must be odd for stabilize")
+    if ns.experiment == "stabilize" and not 2.0 / (ns.z_samples - 1) < 2.0 * _MODEL_SCHEDULE[-1]:
+        parser.error(f"z_samples must exceed {1.0 + 1.0 / _MODEL_SCHEDULE[-1]:.0f} for stabilize")
     if ns.experiment == "minimax" and ns.jmax > ns.n:
         parser.error("jmax must not exceed n")
     # minimax's levels and psdiag's sequence terms have values like 3^(-4j),

@@ -50,8 +50,9 @@ class Functional:
     def step_blocks(self):
         """Coordinate blocks that the descent solver steps separately, as
         (slice, capped) pairs; a capped block's step never exceeds the
-        solver's _STEP_CAP.  The default is one capped block covering every
-        coordinate."""
+        solver's _STEP_CAP, meant for stiff blocks like the model's x-modes.
+        The default is one capped block covering every coordinate; the
+        wrapper's is uncapped, as its degenerate minimum's curvature goes to 0."""
         return ((slice(None), True),)
 
     def evaluate(self, point: Point) -> float:

@@ -458,6 +458,10 @@ class WrapperFunctional(Functional):
             return np.minimum(seam, np.abs(coords))
         return seam
 
+    def step_blocks(self):
+        # uncapped: at the quartic origin (I ~ 2 pi^2 ||u||^4) curvature -> 0
+        return ((slice(None), False),)
+
 
 def wrapper_functional(grid: H01Grid, p: float = 0.5):
     return WrapperFunctional(grid, p=p)

@@ -22,7 +22,8 @@ descent (Tseng, JOTA 2001) under the same acceptance test, measured with
 the Euclidean norm of the block's gradient.  The coordinate model uses
 this to let the parameter t drift on its tiny gradient with a step the
 stiff x-modes would otherwise cap.  With one block (every H01 functional)
-the iteration is the plain full-gradient flow in the space norm.
+the iteration is the plain full-gradient flow in the space norm; the
+wrapper's block is uncapped, since its origin is a degenerate minimum.
 
 Each iteration makes one ``Functional.value_and_grad`` call, on the
 proposals of the running rows: the value decides acceptance, and the
@@ -58,10 +59,11 @@ class SolveConfig:
 
 
 # _STEP_CAP bounds the step of every capped block (see
-# Functional.step_blocks).  It sits below the explicit-Euler stability
-# edge 2/lambda = 4 of the coordinate models' branch modes (curvature
-# 1/2); larger caps buy nothing there.  Uncapped blocks, such as the
-# model's t, grow their step as far as the Armijo test allows.
+# Functional.step_blocks), meant for stiff blocks like the model's x-modes:
+# it sits below their explicit-Euler stability edge 2/lambda = 4 (curvature
+# 1/2).  Uncapped blocks, the model's t and the wrapper's one block (a
+# degenerate minimum, where curvature goes to 0), grow their step as far as
+# the Armijo test allows.
 _STEP_CAP = 3.8
 _INITIAL_STEP = 0.1
 _ARMIJO = 1e-4      # sufficient-decrease fraction

@@ -114,12 +114,13 @@ def test_bad_seed_or_threads_in_config_is_a_usage_error(tmp_path):
     (("minimax", "--n", "162", "--jmax", "162"), "jmax must not exceed 161"),
     (("psdiag", "--n", "162"), "n must not exceed 161"),
     (("stabilize", "--z-samples", "2000"), "z_samples must be odd for stabilize"),
+    (("stabilize", "--z-samples", "10001"), "z_samples must exceed 10001 for stabilize"),
 ], ids=["scan-seeds", "scan-n", "minimax-n", "psdiag-n", "bvp-kmax", "bvp-kmax-1",
         "bvp-nodes", "stabilize-clouds", "enumerate-z_samples", "deform-seed",
         "minimax-jmax", "scan-max-flow-time-nan", "scan-window-lo-inf", "psdiag-tol-inf",
         "bvp-p-nan", "enumerate-threads-0", "scan-threads-neg", "enumerate-n-11",
         "scan-n-25", "minimax-jmax-162", "psdiag-n-162",
-        "stabilize-z_samples-even"])
+        "stabilize-z_samples-even", "stabilize-z_samples-unchained"])
 def test_scan_with_no_seeds_is_a_usage_error(tmp_path, args, message):
     proc = run_cli(*args, "--out", str(tmp_path))
     assert proc.returncode == 1

@@ -147,6 +147,18 @@ def test_one_block_path_is_the_full_gradient_flow():
         assert row.steps == steps[i]
 
 
+def test_small_ball_rows_reach_the_quartic_bottom_in_few_steps():
+    # the wrapper's origin is a degenerate minimum, I ~ 2 pi^2 ||u||^4, so
+    # only an uncapped step reaches it fast; at the cap 3.8 every row here
+    # took 6,612 steps
+    f = wrapper_functional(H01Grid(10))
+    seeds = ball_seed_sampler(f.space, 0.3, np.random.default_rng(0), 200)
+    for row in gradient_flow_solve_batch(f, seeds, SolveConfig()):
+        assert row.stop == STOP_CONVERGED and row.steps <= 100
+        assert np.isfinite(row.flow_time)
+        assert f.space.norm(row.coords) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # property tests of the batch solver, on the coordinate model's two step
 # blocks and on the one-block path of an H01 functional
@@ -156,6 +168,8 @@ SOLVE_CASES = {
                lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
     "one_block": (sublinear_energy(H01Grid(6)), SolveConfig(max_flow_time=10.0),
                   lambda f, rng, m: ball_seed_sampler(f.space, 1.0, rng, m)),
+    "wrapper": (wrapper_functional(H01Grid(6)), SolveConfig(max_flow_time=100.0),
+                lambda f, rng, m: ball_seed_sampler(f.space, 1.5, rng, m)),
 }
 solve_cases = st.sampled_from(sorted(SOLVE_CASES))
 rng_seeds = st.integers(0, 2 ** 32 - 1)
