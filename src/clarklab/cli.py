@@ -7,7 +7,9 @@ and seed), plain RFC-4180 CSV data files, and manifest.json (config echo,
 versions, wall time — always written, even when the run fails its checks).
 Both JSON files are one line of compact JSON with sorted keys.  This
 module alone decides what goes into them: each runner builds its results
-from the fields of the library's reports.
+from the fields of the library's reports, echoes no input that params
+already holds, and leaves point data to its CSV file (scan.csv and
+points.csv carry each point's coordinates as t, x1 ... xn).
 
 Exit codes: 0 success, 1 usage error or out of memory, 2 verification/contract
 failure.
@@ -162,6 +164,19 @@ def _fields(obj, names: str) -> dict:
     return {name: getattr(obj, name) for name in names.split()}
 
 
+def _counts(labels: list) -> dict:
+    return {lbl: labels.count(lbl) for lbl in sorted(set(labels))}
+
+
+def _write_points(path: Path, header, columns, coords):
+    """One CSV row per model point: the given columns, then the point's
+    x-part as x1 ... xn (its t is one of the columns).  csv writes a
+    missing pattern, None, as an empty cell."""
+    xs = [f"x{i}" for i in range(1, coords.shape[1])]
+    _write_csv(path, [*header, *xs],
+               ([*cells, *c[1:]] for cells, c in zip(zip(*columns), coords.tolist())))
+
+
 # ---------------------------------------------------------------------------
 # experiments: each writes its own CSV files and returns (results, checks)
 
@@ -170,18 +185,10 @@ def _run_enumerate(ns, out: Path):
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
     labels = es.labels.tolist()
     worst = float(np.max(es.residuals))
-    patterns = [p or "" for p in es.patterns]
-    _write_csv(out / "points.csv", ["label", "pattern", "value", "residual", "t"],
-               zip(labels, patterns, es.values.tolist(), es.residuals.tolist(),
-                   es.coords[:, 0].tolist()))
-    results = {
-        "n": ns.n,
-        "counts": {lbl: labels.count(lbl) for lbl in sorted(set(labels))},
-        "worst_residual": worst,
-        "points": [{"t": c[0], "x": c[1:], "value": v, "label": lbl, "pattern": pat}
-                   for c, v, lbl, pat in zip(es.coords.tolist(), es.values.tolist(),
-                                             labels, es.patterns)],
-    }
+    _write_points(out / "points.csv", ["label", "pattern", "value", "residual", "t"],
+                  [labels, es.patterns, es.values.tolist(), es.residuals.tolist(),
+                   es.coords[:, 0].tolist()], es.coords)
+    results = {"counts": _counts(labels), "worst_residual": worst}
     checks = {
         "branch_counts": labels.count("N") == 3 ** ns.n and labels.count("-N") == 3 ** ns.n,
         "residuals_vanish": worst <= 1e-12,
@@ -191,31 +198,21 @@ def _run_enumerate(ns, out: Path):
 
 def _run_scan(ns, out: Path):
     model = clark_model(n=ns.n)
-    oracle = CriticalSetOracle(model)
-    z = np.zeros((401, ns.n + 1))
-    z[:, 0] = np.linspace(-1.0, 1.0, 401)
-    cfg = SolveConfig(seed_rng=ns.seed, max_flow_time=ns.max_flow_time)
-    report = accumulation_scan(model, z, (ns.window_lo, ns.window_hi),
-                               ns.seeds, cfg, threads=ns.threads)
-    _write_csv(out / "scan.csv", ["value", "residual", "t", "dist_to_K0hat", "label"],
-               zip(report.values.tolist(), report.residuals.tolist(),
-                   report.coords[:, 0].tolist(), report.dist_to_k0hat.tolist(),
-                   report.labels))
+    cfg = SolveConfig(max_flow_time=ns.max_flow_time)
+    report = accumulation_scan(model, (ns.window_lo, ns.window_hi), ns.seeds, ns.seed,
+                               cfg, threads=ns.threads)
+    _write_points(out / "scan.csv", ["value", "residual", "t", "dist_to_K0", "label", "pattern"],
+                  [report.values.tolist(), report.residuals.tolist(),
+                   report.coords[:, 0].tolist(), report.dist_to_k0.tolist(),
+                   report.labels, report.patterns], report.coords)
     # one batched distance call; an empty scan's worst distance is 0
-    worst = float(np.max(oracle.distance(report.coords), initial=0.0))
-    results = {
-        **_fields(report, "window n_seeds n_converged"),
-        "entries": [{"value": v, "residual": r, "t": c[0], "dist_to_K0hat": d,
-                     "label": lbl, "pattern": pat, "coords": c}
-                    for v, r, c, d, lbl, pat in zip(
-                        report.values.tolist(), report.residuals.tolist(),
-                        report.coords.tolist(), report.dist_to_k0hat.tolist(),
-                        report.labels, report.patterns)],
-        "worst_oracle_distance": worst,
-    }
+    worst = float(np.max(CriticalSetOracle(model).distance(report.coords), initial=0.0))
+    counts = _counts(report.labels)
+    results = {"n_converged": report.n_converged, "counts": counts,
+               "worst_oracle_distance": worst}
     checks = {
         "all_in_window_near_oracle": worst <= ns.oracle_tol,
-        "edge_labels_only": all(lbl in ("N", "-N") for lbl in report.labels),
+        "edge_labels_only": set(counts) <= {"N", "-N"},
     }
     return results, checks
 
@@ -236,7 +233,6 @@ def _run_deform(ns, out: Path):
     results = {
         # the clusters are fixed by circle_samples, which params echoes
         "setup": _fields(setup, "delta0 r rho nu nu_eps d eps t_eps"),
-        "samples": int(len(seeds)),
         "max_energy_uptick": max_uptick,
         "max_speed": max_speed,
         "oddness_deviation": odd_dev,
@@ -286,8 +282,7 @@ def _run_stabilize(ns, out: Path):
     reports = {name: _fields(rep, "schedule sizes nested_ok stabilized note")
                for name, rep in (("gap_segment", rep_gap), ("connected_segment", rep_seg),
                                  ("model_critical_cloud", rep_model))}
-    results = {"examples": reports, "random_clouds": ns.clouds,
-               "nesting_violations": violations}
+    results = {"examples": reports, "nesting_violations": violations}
     checks = {
         "gap_segment_isolates_origin": rep_gap.sizes[-1] == 1 and rep_gap.stabilized,
         "connected_segment_is_whole": rep_seg.sizes[-1] == len(seg) and rep_seg.stabilized,
@@ -314,7 +309,7 @@ def _run_minimax(ns, out: Path):
                        "trace": e.sphere_sup_trace, "witness": e.witness.coords.tolist(),
                        "closed_form_bound": closed,
                        "relative_gap": abs(e.upper_bound - closed) / abs(closed)})
-    results = {"n": ns.n, "estimates": levels}
+    results = {"estimates": levels}
     checks = {
         "all_negative": all(b < 0 for b in bounds),
         "nondecreasing": all(b1 <= b2 + 1e-15 for b1, b2 in zip(bounds, bounds[1:])),
@@ -348,8 +343,7 @@ def _run_bvp(ns, out: Path):
     j_dev = max(abs(s.j_value + ratio * s.energy_norm_sq) / abs(s.j_value)
                 for s in family)
     results = {
-        "p": ns.p, "kmax": ns.kmax, "nodes": ns.nodes,
-        "family": [_fields(s, "p k energy_norm_sq j_value nehari_residual sup_norm "
+        "family": [_fields(s, "k energy_norm_sq j_value nehari_residual sup_norm "
                               "strong_residual") for s in family],
         "fitted_energy_slope": slope, "expected_energy_slope": expected,
         "reshoot_sup_deviation": reshoot_dev,
@@ -373,7 +367,6 @@ def _run_psdiag(ns, out: Path):
         seq.append(Point(coords, model.space))
     report = ps_diagnostic(model, seq, 0.0, tol=ns.tol)
     results = {
-        "n": ns.n,
         "target_level": report.target_level,
         "values": list(report.value_trace),
         "residuals": list(report.residual_trace),

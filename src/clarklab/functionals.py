@@ -147,8 +147,8 @@ def ps_diagnostic(functional: Functional, sequence, level: float, tol: float = 1
         functional._check(p)
 
     coords = np.stack([p.coords for p in sequence])
-    values = functional.value_of(coords)
-    residuals = functional.space.norm(functional.grad_of(coords))
+    values, grads = functional.value_and_grad(coords)
+    residuals = functional.space.norm(grads)
 
     m = len(sequence)
     tail = coords[-max(1, m // 4):]

@@ -238,6 +238,13 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
                                  patterns=patterns[order].tolist())
 
 
+def segment_distance(coords):
+    """Exact distance of each (t, x) row of a (rows, n+1) batch to the zero
+    segment {(t, 0): |t| <= 1}."""
+    t, x = coords[:, 0], coords[:, 1:]
+    return np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
+
+
 class CriticalSetOracle:
     """Distance queries against the closed-form critical set, exact at any n.
 
@@ -261,7 +268,7 @@ class CriticalSetOracle:
         single = np.ndim(coords) == 1
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         t, x = coords[:, 0], coords[:, 1:]
-        seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
+        seg = segment_distance(coords)
         faces = []
         for side in (1.0, -1.0):
             sq = np.empty_like(coords)
@@ -345,7 +352,7 @@ def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, seed_rng: 
 
     rng = np.random.default_rng(seed_rng)
     seed_pts = model_seed_sampler(model.params, rng, seeds)
-    cfg = SolveConfig(residual_tol=1e-8, max_flow_time=_INTERIOR_FLOW_TIME, seed_rng=seed_rng)
+    cfg = SolveConfig(residual_tol=1e-8, max_flow_time=_INTERIOR_FLOW_TIME)
     results = gradient_flow_solve_batch(model, seed_pts, cfg)
 
     converged = [r.coords for r in results if r.converged]

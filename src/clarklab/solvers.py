@@ -42,15 +42,13 @@ import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .models import ClarkModel, ModelParams, classify_model_point
-from .topology import nearest_distances
+from .models import ClarkModel, ModelParams, classify_model_point, segment_distance
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     residual_tol: float = 1e-8
     max_flow_time: float = 1e6
-    seed_rng: int = 0
 
     def __post_init__(self):
         # a NaN passes "<= 0" unnoticed, so the test is "not > 0"
@@ -220,31 +218,27 @@ def ball_seed_sampler(space, radius: float, rng: np.random.Generator, count: int
 class AccumulationReport:
     """Converged scan terminals with values inside a negative window, as
     columns: ``coords`` (rows of n + 1 floats), ``values``, ``residuals``,
-    ``dist_to_k0hat`` (distance to the nearest reference point), and the
-    ``labels`` and ``patterns`` lists of ``classify_model_point``.  Rows
-    are canonically sorted by value, then lexicographically by coordinates.
+    ``dist_to_k0`` (exact distance to K0, the critical set at level 0: the
+    segment {(t, 0): |t| <= 1}), and the ``labels`` and ``patterns`` lists
+    of ``classify_model_point``.  Rows are canonically sorted by value, then
+    lexicographically by coordinates.
     """
 
-    window: tuple
-    n_seeds: int
     n_converged: int
     coords: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
-    dist_to_k0hat: np.ndarray
+    dist_to_k0: np.ndarray
     labels: list
     patterns: list
 
 
-def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
+def accumulation_scan(model: ClarkModel, window, n_seeds: int, seed: int,
                       cfg: SolveConfig | None = None, threads: int = 1) -> AccumulationReport:
-    """Launch seeded descent flows on the coordinate model and keep
-    converged terminals whose value falls strictly inside the window
-    (lo, hi), hi <= 0, labelled by one batched ``classify_model_point``.
-
-    ``k0hat_coords`` is the cloud against which terminal distances are
-    reported (samples of the stationary segment).  An empty report is a
-    valid outcome.
+    """Launch descent flows from ``n_seeds`` seeds drawn with rng ``seed``
+    on the coordinate model and keep converged terminals whose value falls
+    strictly inside the window (lo, hi), hi <= 0, labelled by one batched
+    ``classify_model_point``.  An empty report is a valid outcome.
     """
     if not isinstance(model, ClarkModel):
         raise InvalidParams("accumulation_scan runs on the coordinate model")
@@ -254,9 +248,7 @@ def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
     if n_seeds < 1:
         raise InvalidParams("n_seeds must be positive")
     cfg = cfg or SolveConfig()
-    k0hat = np.atleast_2d(np.asarray(k0hat_coords, dtype=float))
-
-    seeds = model_seed_sampler(model.params, np.random.default_rng(cfg.seed_rng), n_seeds)
+    seeds = model_seed_sampler(model.params, np.random.default_rng(seed), n_seeds)
 
     if threads > 1:
         chunks = np.array_split(seeds, threads)
@@ -276,7 +268,6 @@ def accumulation_scan(model: ClarkModel, k0hat_coords, window, n_seeds: int,
     order = np.lexsort(np.vstack([coords.T[::-1], values]))
     coords, values, residuals = coords[order], values[order], residuals[order]
     labels, patterns = classify_model_point(model, coords, cfg.residual_tol)
-    return AccumulationReport(window=(lo, hi), n_seeds=n_seeds, n_converged=len(converged),
-                              coords=coords, values=values, residuals=residuals,
-                              dist_to_k0hat=nearest_distances(coords, k0hat),
+    return AccumulationReport(n_converged=len(converged), coords=coords, values=values,
+                              residuals=residuals, dist_to_k0=segment_distance(coords),
                               labels=labels, patterns=patterns)

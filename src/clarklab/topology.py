@@ -78,9 +78,6 @@ class Cloud:
     def __len__(self):
         return self.coords.shape[0]
 
-    def subset(self, indices) -> "Cloud":
-        return Cloud(self.coords[np.asarray(indices, dtype=int)])
-
     def origin_index(self):
         """Index of the point nearest the origin if it lies within
         ORIGIN_TOL of it, else None."""
@@ -143,7 +140,6 @@ class StabilizationReport:
     sizes: list
     nested_ok: bool
     stabilized: bool
-    stable_cloud: Cloud
     note: str = ""
 
 
@@ -181,6 +177,5 @@ def origin_component_stabilization(cloud: Cloud, delta_schedule) -> Stabilizatio
         sizes=[len(s) for s in member_sets],
         nested_ok=True,
         stabilized=stabilized,
-        stable_cloud=cloud.subset(np.array(member_sets[-1], dtype=int)),
         note=note,
     )

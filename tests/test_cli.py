@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from clarklab import cli
+from clarklab.models import clark_model, enumerate_critical_set
+from clarklab.solvers import accumulation_scan
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "clarklab", *args],
@@ -160,12 +164,14 @@ def test_enumerate_writes_all_three_artifacts(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     results = read_json(out / "results.json")
+    # the points are in points.csv alone, and params holds n
+    assert set(results["results"]) == {"counts", "worst_residual"}
     assert results["results"]["counts"] == {"N": 9, "-N": 9, "Z": 11}
     assert results["results"]["worst_residual"] <= 1e-12
     assert all(results["checks"].values())
 
     rows = read_csv(out / "points.csv")
-    assert rows[0] == ["label", "pattern", "value", "residual", "t"]
+    assert rows[0] == ["label", "pattern", "value", "residual", "t", "x1", "x2"]
     assert len(rows) == 1 + 9 + 9 + 11
 
     manifest = read_json(out / "manifest.json")
@@ -180,10 +186,12 @@ def test_scan_small_run_finds_only_oracle_points(tmp_path):
     proc = run_cli("scan", "--n", "2", "--seeds", "40", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    # the terminals are in scan.csv alone, and params holds the window and seeds
+    assert set(results["results"]) == {"counts", "n_converged", "worst_oracle_distance"}
     assert results["results"]["worst_oracle_distance"] <= 1e-6
     rows = read_csv(out / "scan.csv")
-    assert rows[0] == ["value", "residual", "t", "dist_to_K0hat", "label"]
-    assert len(rows) > 1
+    assert rows[0] == ["value", "residual", "t", "dist_to_K0", "label", "pattern", "x1", "x2"]
+    assert len(rows) == 1 + sum(results["results"]["counts"].values()) > 1
 
 
 def test_scan_with_an_empty_window_writes_an_empty_report(tmp_path):
@@ -192,9 +200,30 @@ def test_scan_with_an_empty_window_writes_an_empty_report(tmp_path):
                    "--window-hi=-1e-301", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")["results"]
-    assert results["entries"] == []
+    assert results["counts"] == {}
     assert results["worst_oracle_distance"] == 0.0
-    assert read_csv(out / "scan.csv") == [["value", "residual", "t", "dist_to_K0hat", "label"]]
+    assert read_csv(out / "scan.csv") == [
+        ["value", "residual", "t", "dist_to_K0", "label", "pattern", "x1", "x2"]]
+
+
+@pytest.mark.parametrize("experiment", ["scan", "enumerate"])
+def test_point_csvs_round_trip_coordinates_and_patterns(tmp_path, experiment):
+    # results.json holds no points, so the CSV must give back every
+    # coordinate and pattern of the report exactly
+    model = clark_model(n=2)
+    if experiment == "scan":
+        flags, name = ("--seeds", "40", "--seed", "4"), "scan.csv"
+        report = accumulation_scan(model, (-2.0, -1e-9), 40, 4)
+    else:
+        flags, name = ("--z-samples", "11"), "points.csv"
+        report = enumerate_critical_set(model, z_samples=11)
+    assert cli.main([experiment, "--n", "2", *flags, "--out", str(tmp_path)]) == 0
+    header, *rows = read_csv(tmp_path / name)
+    columns = [header.index(c) for c in ("t", "x1", "x2")]
+    assert len(rows) == len(report.coords) > 0
+    for row, coords, pattern in zip(rows, report.coords.tolist(), report.patterns):
+        assert [float(row[i]) for i in columns] == coords
+        assert row[header.index("pattern")] == (pattern or "")
 
 
 def test_deform_small_run_passes_the_flow_contract(tmp_path):
@@ -203,6 +232,9 @@ def test_deform_small_run_passes_the_flow_contract(tmp_path):
                    "--odd-pairs", "5", "--budget", "4000", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    # params holds samples, which band_seeds always meets
+    assert set(results["results"]) == {"setup", "max_energy_uptick", "max_speed",
+                                       "oddness_deviation"}
     assert results["results"]["oddness_deviation"] <= 1e-8
     # the clusters are fixed by circle_samples, which params echoes
     setup = results["results"]["setup"]
@@ -218,6 +250,7 @@ def test_stabilize_small_run_recovers_the_axis_segment(tmp_path):
     proc = run_cli("stabilize", "--clouds", "10", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    assert set(results["results"]) == {"examples", "nesting_violations"}
     examples = results["results"]["examples"]
     # the nesting is checked in-process; no member sets or points are dumped
     for example in examples.values():
@@ -234,6 +267,7 @@ def test_minimax_small_run_orders_the_levels(tmp_path):
     proc = run_cli("minimax", "--n", "4", "--jmax", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    assert set(results["results"]) == {"estimates"}
     bounds = [e["upper_bound"] for e in results["results"]["estimates"]]
     assert len(bounds) == 3
     assert all(b < 0.0 for b in bounds)
@@ -261,6 +295,11 @@ def test_bvp_small_run_writes_the_family(tmp_path):
     proc = run_cli("bvp", "--kmax", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    assert set(results["results"]) == {"family", "fitted_energy_slope", "expected_energy_slope",
+                                       "reshoot_sup_deviation"}
+    for member in results["results"]["family"]:
+        assert set(member) == {"k", "energy_norm_sq", "j_value", "nehari_residual", "sup_norm",
+                               "strong_residual"}
     assert abs(results["results"]["fitted_energy_slope"] + 6.0) <= 0.01
     assert len(read_csv(out / "family.csv")) == 1 + 3
     assert len(read_csv(out / "base_solution.csv")) == 1 + 2002
@@ -271,6 +310,8 @@ def test_psdiag_reports_a_convergent_subsequence(tmp_path):
     proc = run_cli("psdiag", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
+    assert set(results["results"]) == {"target_level", "values", "residuals", "clusters",
+                                       "has_convergent_subsequence", "note"}
     assert results["results"]["has_convergent_subsequence"] is True
     assert all(v < 0.0 for v in results["results"]["values"])
 

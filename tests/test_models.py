@@ -299,6 +299,42 @@ def test_oracle_equals_the_table_reference_byte_for_byte(case):
     assert oracle.distance(rows[0]) == float(expected[0])
 
 
+# t anywhere, or on the segment's ends, its middle, or halfway between two
+# samples of a 401-point segment cloud (spacing 1/200); x-coordinates zero or not
+_SEGMENT_T = st.one_of(st.floats(-3.0, 3.0),
+                       st.sampled_from([-1.0, 1.0, 0.0, 1 / 400, -1 + 1 / 400, 1 - 1 / 400]))
+_SEGMENT_X = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _segment_rows(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 6))
+    return np.array([[draw(_SEGMENT_T), *(draw(_SEGMENT_X) for _ in range(n))]
+                     for _ in range(m)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_segment_rows())
+def test_segment_distance_is_exact_and_bounds_the_sampled_one(rows):
+    d = models.segment_distance(rows)
+    inside = rows.copy()
+    inside[:, 0] = np.clip(rows[:, 0], -1.0, 1.0)
+    on = np.zeros_like(rows)
+    on[:, 0] = inside[:, 0]
+    assert models.segment_distance(on).tolist() == [0.0] * len(rows)
+    assert np.allclose(models.segment_distance(inside), np.linalg.norm(rows[:, 1:], axis=1),
+                       rtol=1e-14, atol=0.0)
+    # against a 401-point sample of the segment the exact distance is never
+    # above the sampled one and at most half the spacing, 1/400, below it;
+    # the allowances are for rounding, as the two sum their squares apart
+    cloud = np.zeros((401, rows.shape[1]))
+    cloud[:, 0] = np.linspace(-1.0, 1.0, 401)
+    sampled = topology.nearest_distances(rows, cloud)
+    assert np.all(d <= sampled * (1.0 + 1e-14))
+    assert np.all(sampled - d <= 1 / 400 + 1e-12)
+
+
 def test_classification_recognizes_all_families():
     model = clark_model(n=3)
     branch = np.array([1.0, 1.0, 0.0, -3.0 ** -6])

@@ -86,17 +86,29 @@ def test_one_routine_measures_nearest_distances_and_one_shoots_the_ode():
                                              "solve_ivp": ["bvp.shoot"]}
 
 
-def test_only_the_enumeration_builds_the_branch_table():
-    # the 2 * 3^n branch rows are built for the enumeration alone; the oracle
-    # reads the product structure, so models needs no distance routine
-    assert _namers("_branch_rows") == {"_branch_rows": ["models.enumerate_critical_set"]}
+def _imports_topology(stem):
     imported = []
-    for node in ast.walk(ast.parse((SRC / "models.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             imported += [node.module or ""] + [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert not [m for m in imported if "topology" in m.split(".")]
+    return any("topology" in m.split(".") for m in imported)
+
+
+def test_only_the_enumeration_builds_the_branch_table():
+    # the 2 * 3^n branch rows are built for the enumeration alone; the oracle
+    # reads the product structure, so models needs no distance routine
+    assert _namers("_branch_rows") == {"_branch_rows": ["models.enumerate_critical_set"]}
+    assert not _imports_topology("models")
+
+
+def test_one_closed_form_measures_the_distance_to_the_zero_segment():
+    # the oracle and the scan share one segment distance, so the scan samples
+    # no segment cloud and solvers needs no distance routine
+    assert _namers("segment_distance") == {"segment_distance": [
+        "models.CriticalSetOracle.distance", "solvers.accumulation_scan"]}
+    assert not _imports_topology("solvers")
 
 
 def test_the_package_root_binds_only_its_version():
@@ -128,7 +140,7 @@ def test_settable_values_do_not_grow():
     # for; the ceiling is the count the package has reached, and only falls
     total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
                 for path in sorted(SRC.glob("*.py")))
-    assert total <= 24
+    assert total <= 23
 
 
 def test_only_the_cli_shapes_json():

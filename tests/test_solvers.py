@@ -432,23 +432,23 @@ def test_ball_seed_sampler_stays_in_the_ball():
 def test_scan_keeps_only_window_terminals_with_edge_labels():
     model = clark_model(n=2)
     oracle = CriticalSetOracle(model)
-    z = np.zeros((101, 3))
-    z[:, 0] = np.linspace(-1.0, 1.0, 101)
-    report = accumulation_scan(model, z, (-2.0, -1e-9), 80, SolveConfig(seed_rng=5))
-    assert report.n_seeds == 80
+    report = accumulation_scan(model, (-2.0, -1e-9), 80, 5)
     assert report.n_converged == 80
     m = len(report.values)
     assert m > 0
     assert report.coords.shape == (m, 3)
-    assert len(report.residuals) == len(report.dist_to_k0hat) == m
+    assert len(report.residuals) == len(report.dist_to_k0) == m
     assert len(report.labels) == len(report.patterns) == m
     for c, value, residual, dist, label in zip(report.coords, report.values, report.residuals,
-                                               report.dist_to_k0hat, report.labels):
+                                               report.dist_to_k0, report.labels):
         assert -2.0 < value < -1e-9
         assert label in ("N", "-N")
         assert residual <= 1e-8
         assert oracle.distance(c) < 1e-6
-        assert dist == float(np.min(np.linalg.norm(z - c, axis=1)))
+        # the exact distance to K0, the segment {(t, 0): |t| <= 1}
+        assert dist == pytest.approx(np.hypot(max(abs(c[0]) - 1.0, 0.0), np.linalg.norm(c[1:])),
+                                     rel=1e-14, abs=0.0)
+        assert oracle.distance(c) <= dist
     assert [([label], [pattern]) for label, pattern in zip(report.labels, report.patterns)] == [
         classify_model_point(model, c[None], 1e-8) for c in report.coords]
     keys = [(v, tuple(c)) for v, c in zip(report.values.tolist(), report.coords.tolist())]
@@ -457,12 +457,10 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
 
 def test_an_empty_window_gives_an_empty_report():
     model = clark_model(n=2)
-    z = np.zeros((11, 3))
-    z[:, 0] = np.linspace(-1.0, 1.0, 11)
-    report = accumulation_scan(model, z, (-1e-300, -1e-301), 20, SolveConfig(seed_rng=1))
+    report = accumulation_scan(model, (-1e-300, -1e-301), 20, 1)
     assert report.n_converged > 0
     assert report.coords.shape == (0, 3)
-    for column in (report.values, report.residuals, report.dist_to_k0hat):
+    for column in (report.values, report.residuals, report.dist_to_k0):
         assert column.shape == (0,)
     assert report.labels == [] and report.patterns == []
 
@@ -471,10 +469,8 @@ def test_an_empty_window_gives_an_empty_report():
 @given(seed=rng_seeds)
 def test_scan_is_deterministic_for_a_fixed_seed(seed):
     model = clark_model(n=2)
-    z = np.zeros((11, 3))
-    z[:, 0] = np.linspace(-1.0, 1.0, 11)
-    a = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
-    b = accumulation_scan(model, z, (-1.0, -1e-12), 30, SolveConfig(seed_rng=seed))
+    a = accumulation_scan(model, (-1.0, -1e-12), 30, seed)
+    b = accumulation_scan(model, (-1.0, -1e-12), 30, seed)
     assert a.n_converged == b.n_converged
     assert np.array_equal(a.coords, b.coords)
     assert np.array_equal(a.values, b.values)
@@ -482,32 +478,30 @@ def test_scan_is_deterministic_for_a_fixed_seed(seed):
 
 def test_scan_threads_produce_the_same_report():
     model = clark_model(n=2)
-    z = np.zeros((11, 3))
-    z[:, 0] = np.linspace(-1.0, 1.0, 11)
-    a = accumulation_scan(model, z, (-1.0, -1e-12), 40, SolveConfig(seed_rng=2))
-    b = accumulation_scan(model, z, (-1.0, -1e-12), 40, SolveConfig(seed_rng=2), threads=4)
+    a = accumulation_scan(model, (-1.0, -1e-12), 40, 2)
+    b = accumulation_scan(model, (-1.0, -1e-12), 40, 2, threads=4)
     assert a.coords.shape == b.coords.shape
     assert np.allclose(a.coords, b.coords, atol=0.0)
 
 
 def test_scan_rejects_bad_windows():
     model = clark_model(n=2)
-    z = np.zeros((3, 3))
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, z, (-1.0, 0.5), 10)
+        accumulation_scan(model, (-1.0, 0.5), 10, 0)
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, z, (-1e-9, -1.0), 10)
+        accumulation_scan(model, (-1e-9, -1.0), 10, 0)
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, z, (-1.0, -1e-9), 0)
+        accumulation_scan(model, (-1.0, -1e-9), 0, 0)
 
 
 def test_scan_csv_written_with_header(tmp_path):
     assert cli.main(["scan", "--n", "2", "--seeds", "25", "--window-lo=-1.0",
                      "--window-hi=-1e-12", "--seed", "3", "--out", str(tmp_path)]) == 0
-    entries = json.loads((tmp_path / "results.json").read_text())["results"]["entries"]
+    counts = json.loads((tmp_path / "results.json").read_text())["results"]["counts"]
     lines = (tmp_path / "scan.csv").read_text().splitlines()
-    assert lines[0] == "value,residual,t,dist_to_K0hat,label"
-    assert len(lines) == 1 + len(entries) > 1
+    assert lines[0] == "value,residual,t,dist_to_K0,label,pattern,x1,x2"
+    assert len(lines) == 1 + sum(counts.values()) > 1
     # repr round-trip keeps float values exact
+    report = accumulation_scan(clark_model(n=2), (-1.0, -1e-12), 25, 3)
     first = lines[1].split(",")
-    assert float(first[0]) == entries[0]["value"]
+    assert float(first[0]) == report.values[0]

@@ -190,12 +190,13 @@ def test_asymmetric_cloud_cannot_be_declared_symmetric():
 # origin-component stabilization
 
 def test_gap_example_stabilizes_to_the_origin_alone():
-    report = origin_component_stabilization(gap_cloud(), (0.3, 0.2, 0.1, 0.05))
+    cloud = gap_cloud()
+    report = origin_component_stabilization(cloud, (0.3, 0.2, 0.1, 0.05))
     assert report.stabilized
     assert report.nested_ok
     assert report.sizes[0] == 52          # delta 0.3 bridges the gap
     assert report.sizes[-1] == 1          # fine scales isolate the origin
-    assert np.array_equal(report.stable_cloud.coords, np.zeros((1, 1)))
+    assert np.array_equal(cloud.coords[list(report.member_sets[-1])], np.zeros((1, 1)))
 
 
 def test_connected_segment_stabilizes_to_the_whole_cloud():
@@ -218,7 +219,7 @@ def test_model_cloud_stabilizes_to_the_segment_points():
     # (segment samples plus the two all-zero branch patterns at t = +-1)
     on_axis = np.linalg.norm(cloud.coords[:, 1:], axis=1) == 0.0
     assert report.sizes[-1] == int(np.sum(on_axis))
-    assert np.max(np.abs(report.stable_cloud.coords[:, 1:])) == 0.0
+    assert np.max(np.abs(cloud.coords[list(report.member_sets[-1]), 1:])) == 0.0
     # the coarsest scale bridges to the off-axis branch points
     assert report.sizes[0] > report.sizes[-1]
 
