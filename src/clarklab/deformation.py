@@ -257,7 +257,8 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace
     is within _ERR_TOL, and the integration fails only when a step at
     h <= 1e-12 still misses it.  One evaluation per point gives its field
     and energy.  Returns the terminal rows plus the worst energy uptick and
-    speed ratio of the batch.
+    speed ratio of the batch; a row's speed on a step is its move, less a
+    stated rounding allowance, over the step.
 
     Only live rows are integrated.  A row whose held field is exactly 0 has
     every RK4 stage at the row itself, so it never moves again and adds
@@ -303,8 +304,12 @@ def flow_batch(setup: DeformationSetup, seeds: np.ndarray, t_final: float, trace
             h *= 0.5
             continue
         if len(live):
+            # |field| <= 1, so a row moves at most h up to rounding: 4 ulps of
+            # its entries and 1 of the clock, a sizable share of the shortest moves
             step_len = np.linalg.norm(half - rows, axis=1)
-            max_speed = max(max_speed, float(np.max(step_len)) / h)
+            rounding = (4.0 * np.spacing(np.maximum(np.abs(rows), np.abs(half)).max(axis=1))
+                        + np.spacing(t + h))
+            max_speed = max(max_speed, float(np.max(step_len - rounding)) / h)
             field, e_new = _field_batch(setup, half)
             max_uptick = max(max_uptick, float(np.max(e_new - energy[live])))
             u, energy = u.copy(), energy.copy()

@@ -45,29 +45,23 @@ def coordinate_model_bound(j: int) -> tuple[float, float]:
     return 4.0 * 3.0 ** (-2 * j), -(8.0 / 3.0) * 3.0 ** (-4 * j)
 
 
-def sphere_sup_witness(model: ClarkModel, k: int, rho):
+def sphere_sup_witness(model: ClarkModel, k: int, radii):
     """Sup of I over the radius-rho sphere of the first k x-coordinates
-    (t = 0), as the best row of the axis stencil +-rho e_i; returns
-    (value, witness coords).  The stencil holds the maximizer, so the
-    value is the exact sup.
-
-    ``rho`` is a radius or a 1-d array of radii.  An array evaluates
-    every radius's rows in one value call and returns one value and one
-    witness per radius; each is bit-for-bit its scalar call, since the
-    value works row by row.
-    """
-    radii = np.asarray(rho, dtype=float)
-    if radii.ndim > 1 or radii.size == 0:
-        raise InvalidParams("rho must be a radius or a non-empty 1-d array of radii")
-    if not np.all(np.isfinite(radii)):
-        raise InvalidParams("rho must be finite")
-    if np.any(radii <= 0):
-        raise InvalidParams("rho must be positive")
+    (t = 0) for each rho of the non-empty 1-d array ``radii``: the best row
+    of the axis stencil +-rho e_i, which holds the maximizer, so the sup is
+    exact.  Returns the sups and one witness row per radius, from one value
+    call that works row by row, so no radius depends on the others."""
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or r.size == 0:
+        raise InvalidParams("radii must be a non-empty 1-d array")
+    if not np.all(np.isfinite(r)):
+        raise InvalidParams("radii must be finite")
+    if np.any(r <= 0):
+        raise InvalidParams("radii must be positive")
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    if k > model.params.n:
-        raise DimensionError(f"k={k} exceeds truncation n={model.params.n}")
-    r = np.atleast_1d(radii)
+    if k > model.n:
+        raise DimensionError(f"k={k} exceeds truncation n={model.n}")
 
     # one block of 2k stencil rows per radius, each row rho times a unit axis
     stencil = np.concatenate([np.eye(k), -np.eye(k)], axis=0)
@@ -76,10 +70,7 @@ def sphere_sup_witness(model: ClarkModel, k: int, rho):
 
     vals = model.value_of(coords)
     best = np.arange(len(r)) * 2 * k + np.argmax(vals.reshape(len(r), -1), axis=1)
-    best_val, witnesses = vals[best], coords[best]
-    if radii.ndim == 0:
-        return float(best_val[0]), witnesses[0]
-    return best_val, witnesses
+    return vals[best], coords[best]
 
 
 @dataclass

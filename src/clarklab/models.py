@@ -30,6 +30,11 @@ Three families live here, all even, bounded below, and C1 but not C2:
   for ||u|| <= 1 and I(u) = J((||u||^2 - 1) u) outside.  The origin is an
   isolated critical point at level 0 and the spheres ||u||^2 = 1/2 and
   ||u||^2 = 1 are critical with values 2 and 0.
+
+``ClarkModel(n)`` owns n, the weights 3^(-j) and the branch magnitudes.  Its
+closed-form critical set (enumeration, oracle, labels) lives here; the flows
+that reach it, and the checks on them, live in ``solvers``, which imports
+this module and not the other way round.
 """
 
 from __future__ import annotations
@@ -73,19 +78,15 @@ def phi_parts(t):
     return up * up + dn * dn, 2.0 * up + 2.0 * dn
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Truncation dimension for the coordinate model."""
+class ClarkModel(Functional):
+    """The coordinate model at truncation dimension n >= 1, on R^(n+1)."""
 
-    n: int = 4
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParams(f"truncation dimension must be >= 1, got {self.n}")
-
-    @property
-    def weights(self):
-        return 3.0 ** -np.arange(1, self.n + 1)
+    def __init__(self, n: int):
+        if n < 1:
+            raise InvalidParams(f"truncation dimension must be >= 1, got {n}")
+        self.n = n
+        self.space = L2Truncation(n + 1)
+        self.weights = 3.0 ** -np.arange(1, n + 1)
 
     def branch_magnitudes(self, t):
         """Positive-branch and negative-branch |x_j| at parameter t:
@@ -93,13 +94,6 @@ class ModelParams:
         mu, _ = mu_parts(t)
         w2 = self.weights ** 2
         return (2.0 + mu) ** 2 * w2, (2.0 - mu) ** 2 * w2
-
-
-class ClarkModel(Functional):
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.space = L2Truncation(params.n + 1)
-        self._w = params.weights
 
     def value_of(self, coords):
         return self._evaluate(coords, value=True, grad=False)[0]
@@ -123,16 +117,16 @@ class ClarkModel(Functional):
         xn15 = xn ** 1.5
         v = g = None
         if value:
-            sp = np.sum(self._w * xp15, axis=-1)
-            sn = np.sum(self._w * xn15, axis=-1)
+            sp = np.sum(self.weights * xp15, axis=-1)
+            sn = np.sum(self.weights * xn15, axis=-1)
             quad = 0.5 * np.sum(x * x, axis=-1)
             v = quad - (2.0 / 3.0) * ((2.0 + mu) * sp + (2.0 - mu) * sn) + phi
         if grad:
             g = np.empty_like(coords)
-            g[..., 1:] = x - self._w * (
+            g[..., 1:] = x - self.weights * (
                 (2.0 + mu)[..., None] * np.sqrt(xp) - (2.0 - mu)[..., None] * np.sqrt(xn)
             )
-            g[..., 0] = -(2.0 / 3.0) * dmu * np.sum(self._w * (xp15 - xn15), axis=-1) + dphi
+            g[..., 0] = -(2.0 / 3.0) * dmu * np.sum(self.weights * (xp15 - xn15), axis=-1) + dphi
         return v, g
 
     def step_blocks(self):
@@ -150,7 +144,7 @@ class ClarkModel(Functional):
 
 
 def clark_model(n: int = 4) -> ClarkModel:
-    return ClarkModel(ModelParams(n=n))
+    return ClarkModel(n)
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +167,18 @@ def _pattern_strings(signs):
     return np.ascontiguousarray(chars).view(f"<U{signs.shape[1]}")[:, 0]
 
 
-def _branch_rows(params: ModelParams):
+def _branch_rows(model: ClarkModel):
     """Sign patterns and rows of the 3^n branch points at t = 1, in
     itertools.product((1, 0, -1), repeat=n) order, then their mirrors at
     t = -1.  x_j is the positive-branch magnitude, 0 or minus the
     negative-branch one.  mu is odd, so at t = -1 the two magnitudes swap
     and each mirror is its row negated, with + 0.0 keeping zeros +0.0."""
-    n = params.n
+    n = model.n
     if n > ENUMERATION_N_MAX:
         raise InvalidParams(f"the critical set is enumerated up to n = {ENUMERATION_N_MAX}, "
                             f"got n = {n}")
     signs = (1 - np.arange(3 ** n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3).astype(np.int8)
-    pos, neg = params.branch_magnitudes(1.0)
+    pos, neg = model.branch_magnitudes(1.0)
     rows = np.ones((len(signs), n + 1))
     rows[:, 1:] = np.where(signs > 0, pos, 0.0) - np.where(signs < 0, neg, 0.0)
     return np.concatenate([signs, -signs]), np.concatenate([rows, -rows + 0.0])
@@ -219,9 +213,8 @@ def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> Enumerate
     """
     if z_samples < 2:
         raise InvalidParams("z_samples must be at least 2")
-    params = model.params
-    signs, branches = _branch_rows(params)
-    segment = np.zeros((z_samples, params.n + 1))
+    signs, branches = _branch_rows(model)
+    segment = np.zeros((z_samples, model.n + 1))
     segment[:, 0] = np.linspace(-1.0, 1.0, z_samples)
     rows = np.concatenate([branches, segment])
     values = model.value_of(rows)
@@ -258,7 +251,7 @@ class CriticalSetOracle:
     """
 
     def __init__(self, model: ClarkModel):
-        pos, neg = model.params.branch_magnitudes(1.0)
+        pos, neg = model.branch_magnitudes(1.0)
         self._choices = np.stack([pos, 0.0 * pos, -neg])
 
     def distance(self, coords):
@@ -284,8 +277,9 @@ class CriticalSetOracle:
 _FACE_T_TOL = 1e-3
 
 
-def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
-    """Label solver terminal points by the closed-form structure.
+def classify_model_point(model: ClarkModel, coords, residual_tol: float):
+    """Label solver terminal points by the closed-form structure;
+    ``residual_tol`` is the gradient residual they were converged to.
 
     A point whose x-part is below 10*residual_tol is the zero segment
     (the whole segment is critical, so x is the only discriminator); the
@@ -303,71 +297,6 @@ def classify_model_point(model: ClarkModel, coords, residual_tol: float = 1e-8):
     signs = np.where(x > cut, 1, np.where(x < -cut, -1, 0))
     patterns = np.where(zero, None, _pattern_strings(signs).astype(object))
     return labels.tolist(), patterns.tolist()
-
-
-# ---------------------------------------------------------------------------
-# interior exclusion
-
-@dataclass
-class InteriorExclusionReport:
-    """Tail-bound table plus a solver cross-check of the interior band."""
-
-    bound_rows: list          # (j0, tail_sum, cap, lower, margin)
-    min_margin: float
-    seeds_run: int
-    converged: int
-    violations: list          # coords of converged points breaking the rule
-    passed: bool
-
-
-# interior band |t| < 1 - _INTERIOR_DELTA, zero x-part up to _INTERIOR_X_TOL,
-# tail bounds for leading indices up to max(n, _TAIL_JMAX), and the flow-time
-# budget of each seed
-_INTERIOR_DELTA = 1e-3
-_INTERIOR_X_TOL = 1e-6
-_TAIL_JMAX = 6
-_INTERIOR_FLOW_TIME = 2e5
-
-
-def verify_no_interior_negatives(model: ClarkModel, seeds: int = 400, seed_rng: int = 0):
-    """Check the two halves of the interior-exclusion argument.
-
-    Analytically: for every leading index j0, the tail sum
-    sum_{j>j0} 27 * 3^(-4j) stays below the cap (2/3) * 3^(-4 j0) while the
-    leading term is at least 3^(-4 j0); the margin between tail and cap is
-    reported per j0.  Numerically: descent flow is launched from seeded
-    boxes and every converged point with |t| < 1 - _INTERIOR_DELTA must
-    have zero x-part (within _INTERIOR_X_TOL).  Non-converged seeds are
-    counted, not fatal.
-    """
-    from .solvers import SolveConfig, gradient_flow_solve_batch, model_seed_sampler
-
-    rows = []
-    for j0 in range(1, max(model.params.n, _TAIL_JMAX) + 1):
-        tail = 27.0 * 3.0 ** (-4 * (j0 + 1)) / (1.0 - 3.0 ** -4)
-        cap = (2.0 / 3.0) * 3.0 ** (-4 * j0)
-        lower = 3.0 ** (-4 * j0)
-        rows.append((j0, tail, cap, lower, 1.0 - tail / cap))
-    min_margin = min(r[4] for r in rows)
-
-    rng = np.random.default_rng(seed_rng)
-    seed_pts = model_seed_sampler(model.params, rng, seeds)
-    cfg = SolveConfig(residual_tol=1e-8, max_flow_time=_INTERIOR_FLOW_TIME)
-    results = gradient_flow_solve_batch(model, seed_pts, cfg)
-
-    converged = [r.coords for r in results if r.converged]
-    violations = [c for c in converged if abs(c[0]) < 1.0 - _INTERIOR_DELTA
-                  and np.linalg.norm(c[1:]) > _INTERIOR_X_TOL]
-
-    passed = min_margin >= 0.25 and not violations
-    return InteriorExclusionReport(
-        bound_rows=rows,
-        min_margin=min_margin,
-        seeds_run=seeds,
-        converged=len(converged),
-        violations=violations,
-        passed=passed,
-    )
 
 
 # ---------------------------------------------------------------------------

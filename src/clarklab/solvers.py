@@ -1,5 +1,6 @@
-"""Critical point solvers: the batch descent flow, seed samplers and the
-accumulation scan.
+"""Critical point solvers: the batch descent flow, seed samplers, and the
+two checks that run it on the coordinate model, the accumulation scan and
+the interior exclusion.
 
 The flow integrates du/dtau = -grad I(u) with adaptive explicit Euler
 steps: a step is accepted only when it decreases the energy by the
@@ -31,6 +32,9 @@ accepted rows keep the gradient computed with it.  A row's value and
 gradient do not depend on the other rows of the batch, so this gives the
 bits of evaluating the accepted rows again, without the second pass.
 The gradients of rejected proposals are the only waste.
+
+A row has converged once its gradient's space norm is at most
+``RESIDUAL_TOL``, defined here alone; the scan labels its terminals with it.
 """
 
 from __future__ import annotations
@@ -42,18 +46,20 @@ import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .models import ClarkModel, ModelParams, classify_model_point, segment_distance
+from .models import ClarkModel, classify_model_point, segment_distance
+
+# the gradient residual (space norm) at or below which a row has converged
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    residual_tol: float = 1e-8
     max_flow_time: float = 1e6
 
     def __post_init__(self):
         # a NaN passes "<= 0" unnoticed, so the test is "not > 0"
-        if not (self.residual_tol > 0 and self.max_flow_time > 0):
-            raise InvalidParams("residual_tol and max_flow_time must be positive")
+        if not self.max_flow_time > 0:
+            raise InvalidParams("max_flow_time must be positive")
 
 
 # _STEP_CAP bounds the step of every capped block (see
@@ -122,14 +128,14 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     tau = np.zeros((len(u), nb))
     energy, grad = f.value_and_grad(u)
     res = space.norm(grad)
-    done = ~(res > cfg.residual_tol)
+    done = ~(res > RESIDUAL_TOL)
 
     k = 0
     while True:
         if done.any():
             flow_time = tau.min(axis=1)
             for i in np.flatnonzero(done):
-                if res[i] <= cfg.residual_tol:
+                if res[i] <= RESIDUAL_TOL:
                     stop = STOP_CONVERGED
                 elif flow_time[i] >= cfg.max_flow_time:
                     stop = STOP_BUDGET
@@ -173,14 +179,14 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
                            hb * _SHRINK)
         k += 1
 
-        done = ((res <= cfg.residual_tol) | (tau.min(axis=1) >= cfg.max_flow_time)
+        done = ((res <= RESIDUAL_TOL) | (tau.min(axis=1) >= cfg.max_flow_time)
                 | (h[:, b] < _MIN_STEP))
 
 
 # ---------------------------------------------------------------------------
 # seeding and the accumulation scan
 
-def model_seed_sampler(params: ModelParams, rng: np.random.Generator, count: int):
+def model_seed_sampler(model: ClarkModel, rng: np.random.Generator, count: int):
     """Box seeds for the coordinate model with sign-pattern sparsity.
 
     Dense draws alone almost surely activate every coordinate, and the flow
@@ -194,7 +200,7 @@ def model_seed_sampler(params: ModelParams, rng: np.random.Generator, count: int
     seeds always reach a face through its steep side, which localizes
     terminals to ~1e-7.
     """
-    n = params.n
+    n = model.n
     box = 2.0 * 9.0 * 3.0 ** (-2 * np.arange(1, n + 1))
     t = rng.uniform(-0.999, 0.999, size=count)
     x = rng.uniform(-1.0, 1.0, size=(count, n)) * box
@@ -248,7 +254,7 @@ def accumulation_scan(model: ClarkModel, window, n_seeds: int, seed: int,
     if n_seeds < 1:
         raise InvalidParams("n_seeds must be positive")
     cfg = cfg or SolveConfig()
-    seeds = model_seed_sampler(model.params, np.random.default_rng(seed), n_seeds)
+    seeds = model_seed_sampler(model, np.random.default_rng(seed), n_seeds)
 
     if threads > 1:
         chunks = np.array_split(seeds, threads)
@@ -261,13 +267,73 @@ def accumulation_scan(model: ClarkModel, window, n_seeds: int, seed: int,
 
     converged = [r for r in results if r.converged]
     kept = [r for r in converged if lo < r.value < hi]
-    coords = np.array([r.coords for r in kept]).reshape(-1, model.params.n + 1)
+    coords = np.array([r.coords for r in kept]).reshape(-1, model.n + 1)
     values = np.array([r.value for r in kept])
     residuals = np.array([r.residual for r in kept])
     # canonical order: by value, then lexicographically by coordinates
     order = np.lexsort(np.vstack([coords.T[::-1], values]))
     coords, values, residuals = coords[order], values[order], residuals[order]
-    labels, patterns = classify_model_point(model, coords, cfg.residual_tol)
+    labels, patterns = classify_model_point(model, coords, RESIDUAL_TOL)
     return AccumulationReport(n_converged=len(converged), coords=coords, values=values,
                               residuals=residuals, dist_to_k0=segment_distance(coords),
                               labels=labels, patterns=patterns)
+
+
+# ---------------------------------------------------------------------------
+# interior exclusion
+
+@dataclass
+class InteriorExclusionReport:
+    """Tail-bound table plus a solver cross-check of the interior band."""
+
+    bound_rows: list          # (j0, tail_sum, cap, lower, margin)
+    min_margin: float
+    seeds_run: int
+    converged: int
+    violations: list          # coords of converged points breaking the rule
+    passed: bool
+
+
+# interior band |t| < 1 - _INTERIOR_DELTA, zero x-part up to _INTERIOR_X_TOL,
+# tail bounds for leading indices up to max(n, _TAIL_JMAX), and the flows:
+# _INTERIOR_SEEDS seeds drawn with rng seed _INTERIOR_RNG_SEED, each with
+# flow-time budget _INTERIOR_FLOW_TIME
+_INTERIOR_DELTA = 1e-3
+_INTERIOR_X_TOL = 1e-6
+_TAIL_JMAX = 6
+_INTERIOR_SEEDS = 400
+_INTERIOR_RNG_SEED = 0
+_INTERIOR_FLOW_TIME = 2e5
+
+
+def verify_no_interior_negatives(model: ClarkModel) -> InteriorExclusionReport:
+    """Check the two halves of the interior-exclusion argument.
+
+    Analytically: for every leading index j0, the tail sum
+    sum_{j>j0} 27 * 3^(-4j) stays below the cap (2/3) * 3^(-4 j0) while the
+    leading term is at least 3^(-4 j0); the margin between tail and cap is
+    reported per j0.  Numerically: descent flow is launched from seeded
+    boxes and every converged point with |t| < 1 - _INTERIOR_DELTA must
+    have zero x-part (within _INTERIOR_X_TOL).  Non-converged seeds are
+    counted, not fatal.
+    """
+    rows = []
+    for j0 in range(1, max(model.n, _TAIL_JMAX) + 1):
+        tail = 27.0 * 3.0 ** (-4 * (j0 + 1)) / (1.0 - 3.0 ** -4)
+        cap = (2.0 / 3.0) * 3.0 ** (-4 * j0)
+        lower = 3.0 ** (-4 * j0)
+        rows.append((j0, tail, cap, lower, 1.0 - tail / cap))
+    min_margin = min(r[4] for r in rows)
+
+    seeds = model_seed_sampler(model, np.random.default_rng(_INTERIOR_RNG_SEED), _INTERIOR_SEEDS)
+    cfg = SolveConfig(max_flow_time=_INTERIOR_FLOW_TIME)
+    results = gradient_flow_solve_batch(model, seeds, cfg)
+
+    converged = [r.coords for r in results if r.converged]
+    violations = [c for c in converged if abs(c[0]) < 1.0 - _INTERIOR_DELTA
+                  and np.linalg.norm(c[1:]) > _INTERIOR_X_TOL]
+
+    return InteriorExclusionReport(bound_rows=rows, min_margin=min_margin,
+                                   seeds_run=_INTERIOR_SEEDS, converged=len(converged),
+                                   violations=violations,
+                                   passed=min_margin >= 0.25 and not violations)

@@ -23,7 +23,6 @@ from clarklab.models import (
     CriticalSetOracle,
     clark_model,
     sublinear_energy,
-    verify_no_interior_negatives,
     wrapper_functional,
 )
 from clarklab.solvers import (
@@ -31,6 +30,7 @@ from clarklab.solvers import (
     ball_seed_sampler,
     gradient_flow_solve_batch,
     model_seed_sampler,
+    verify_no_interior_negatives,
 )
 from clarklab.spaces import H01Grid, Point
 from clarklab.topology import Cloud, origin_component_stabilization
@@ -47,10 +47,10 @@ def test_criterion_01_flow_terminals_match_the_enumerated_set():
     model = clark_model(n=3)
     oracle = CriticalSetOracle(model)
     rng = np.random.default_rng(0)
-    seeds = model_seed_sampler(model.params, rng, 2000)
+    seeds = model_seed_sampler(model, rng, 2000)
 
     started = time.time()
-    results = gradient_flow_solve_batch(model, seeds, SolveConfig(residual_tol=1e-8))
+    results = gradient_flow_solve_batch(model, seeds, SolveConfig())
     elapsed = time.time() - started
 
     converged = [r for r in results if r.residual < 1e-8]

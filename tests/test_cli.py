@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from clarklab import cli
+from clarklab import cli, minimax
 from clarklab.models import clark_model, enumerate_critical_set
 from clarklab.solvers import accumulation_scan
 
@@ -272,11 +272,20 @@ def test_minimax_small_run_orders_the_levels(tmp_path):
     assert len(bounds) == 3
     assert all(b < 0.0 for b in bounds)
     assert bounds == sorted(bounds)
-    assert len(read_csv(out / "minimax.csv")) == 1 + 3
     assert results["checks"]["matches_closed_form"] is True
     for e in results["results"]["estimates"]:
+        assert set(e) == {"j", "rho_star", "upper_bound", "witness", "closed_form_bound",
+                          "relative_gap"}
         assert e["closed_form_bound"] < 0.0
         assert 0.0 <= e["relative_gap"] <= 1e-9
+    # the sphere-sup table: each level's grid radii, then its rho*, whose sup
+    # is the level's bound
+    rows = read_csv(out / "minimax.csv")
+    assert rows[0] == ["j", "rho", "sup"]
+    per_level = len(minimax._RHO_GRID) + 1
+    assert len(rows) == 1 + 3 * per_level
+    for e, last in zip(results["results"]["estimates"], rows[per_level::per_level]):
+        assert last == [str(e["j"]), repr(e["rho_star"]), repr(e["upper_bound"])]
 
 
 def test_minimax_at_twenty_levels_matches_the_closed_form(tmp_path):
@@ -295,13 +304,16 @@ def test_bvp_small_run_writes_the_family(tmp_path):
     proc = run_cli("bvp", "--kmax", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     results = read_json(out / "results.json")
-    assert set(results["results"]) == {"family", "fitted_energy_slope", "expected_energy_slope",
+    # the members' rows are in family.csv alone
+    assert set(results["results"]) == {"worst_nehari_residual", "j_identity_deviation",
+                                       "fitted_energy_slope", "expected_energy_slope",
                                        "reshoot_sup_deviation"}
-    for member in results["results"]["family"]:
-        assert set(member) == {"k", "energy_norm_sq", "j_value", "nehari_residual", "sup_norm",
-                               "strong_residual"}
     assert abs(results["results"]["fitted_energy_slope"] + 6.0) <= 0.01
-    assert len(read_csv(out / "family.csv")) == 1 + 3
+    rows = read_csv(out / "family.csv")
+    assert rows[0] == ["k", "energy_norm_sq", "j_value", "nehari_residual", "sup_norm",
+                       "strong_residual"]
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
+    assert results["results"]["worst_nehari_residual"] == max(float(row[3]) for row in rows[1:])
     assert len(read_csv(out / "base_solution.csv")) == 1 + 2002
 
 

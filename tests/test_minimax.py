@@ -27,7 +27,7 @@ def test_sphere_sup_matches_the_closed_form(data):
     k = data.draw(st.integers(1, n), label="k")
     rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
                     label="rho")
-    got, w = sphere_sup_witness(clark_model(n=n), k, rho)
+    (got,), (w,) = sphere_sup_witness(clark_model(n=n), k, np.array([rho]))
     assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
     # the sup sits on the weakest in-block axis, +-rho e_k
     assert np.flatnonzero(w).tolist() == [k]
@@ -48,13 +48,13 @@ def test_random_block_directions_never_beat_the_stencil_sup(data):
     dirs = np.random.default_rng(seed).standard_normal((64, k))
     coords = np.zeros((64, n + 1))
     coords[:, 1:k + 1] = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    sup = sphere_sup_witness(model, k, rho)[0]
+    sup = sphere_sup_witness(model, k, np.array([rho]))[0][0]
     assert np.max(model.value_of(coords)) <= sup + 1e-12 * abs(sup)
 
 
 def test_sphere_witness_sits_on_the_block_sphere():
     model = clark_model(n=5)
-    val, w = sphere_sup_witness(model, 3, 0.2)
+    (val,), (w,) = sphere_sup_witness(model, 3, np.array([0.2]))
     assert val == pytest.approx(exact_block_sup(3, 0.2), rel=1e-10)
     assert w[0] == 0.0                      # t stays pinned
     assert np.linalg.norm(w[1:4]) == pytest.approx(0.2, rel=1e-12)
@@ -99,13 +99,14 @@ def test_same_budget_is_deterministic():
 def test_block_and_radius_validation():
     model = clark_model(n=3)
     with pytest.raises(DimensionError):
-        sphere_sup_witness(model, 4, 0.1)
+        sphere_sup_witness(model, 4, np.array([0.1]))
     with pytest.raises(InvalidParams):
-        sphere_sup_witness(model, 0, 0.1)
+        sphere_sup_witness(model, 0, np.array([0.1]))
     with pytest.raises(InvalidParams):
-        sphere_sup_witness(model, 1, 0.0)
-    for bad in (np.nan, np.inf, -np.inf, np.array([]), np.array([0.1, np.nan]),
-                np.array([0.1, -0.2]), np.array([[0.1]])):
+        sphere_sup_witness(model, 1, np.array([0.0]))
+    # a scalar radius is not a 1-d array of radii
+    for bad in (0.1, np.array([np.nan]), np.array([np.inf]), np.array([-np.inf]), np.array([]),
+                np.array([0.1, np.nan]), np.array([0.1, -0.2]), np.array([[0.1]])):
         with pytest.raises(InvalidParams):
             sphere_sup_witness(model, 1, bad)
     # past LEVEL_J_MAX the level values leave the normal floats
@@ -130,9 +131,8 @@ def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data):
     assert vals.shape == (len(radii),)
     assert witnesses.shape == (len(radii), f.space.dim)
     for r, v, w in zip(radii, vals, witnesses):
-        v1, w1 = sphere_sup_witness(f, k, float(r))
-        assert isinstance(v1, float)
-        assert np.float64(v1).tobytes() == v.tobytes()
+        (v1,), (w1,) = sphere_sup_witness(f, k, np.array([r]))
+        assert v1.tobytes() == v.tobytes()
         assert w1.tobytes() == w.tobytes()
 
 

@@ -13,7 +13,6 @@ from clarklab.errors import InvalidParams
 from clarklab.models import (
     ClarkModel,
     CriticalSetOracle,
-    ModelParams,
     SublinearEnergy,
     WrapperFunctional,
     clark_model,
@@ -22,9 +21,9 @@ from clarklab.models import (
     mu_parts,
     phi_parts,
     sublinear_energy,
-    verify_no_interior_negatives,
     wrapper_functional,
 )
+from clarklab.solvers import RESIDUAL_TOL, verify_no_interior_negatives
 from clarklab.spaces import H01Grid, Point
 
 
@@ -77,11 +76,11 @@ def test_single_axis_branch_values_in_closed_form():
 
 
 def test_branch_magnitudes_at_the_faces():
-    params = ModelParams(n=3)
-    pos, neg = params.branch_magnitudes(1.0)
+    model = clark_model(n=3)
+    pos, neg = model.branch_magnitudes(1.0)
     assert np.allclose(pos, 9.0 * 3.0 ** (-2 * np.arange(1, 4)), rtol=1e-15)
     assert np.allclose(neg, 1.0 * 3.0 ** (-2 * np.arange(1, 4)), rtol=1e-15)
-    pos0, neg0 = params.branch_magnitudes(0.0)
+    pos0, neg0 = model.branch_magnitudes(0.0)
     assert np.allclose(pos0, neg0)
 
 
@@ -99,7 +98,7 @@ def test_value_is_even_and_zero_on_the_segment():
 
 def test_clark_model_factory_rejects_a_bad_dimension():
     with pytest.raises(InvalidParams):
-        ModelParams(n=0)
+        ClarkModel(0)
     with pytest.raises(InvalidParams):
         clark_model(n=0)
     assert isinstance(clark_model(n=2), ClarkModel)
@@ -175,14 +174,15 @@ def test_enumerated_branch_values_are_additive_across_mixed_signs():
         assert es.values[i] == pytest.approx(expect, abs=tol)
         assert es.coords[i, 0] == 1.0
         assert es.residuals[i] <= 1e-12
-        assert classify_model_point(model, es.coords[i:i + 1]) == (["N"], [pattern])
+        assert classify_model_point(model, es.coords[i:i + 1], RESIDUAL_TOL) == (
+            ["N"], [pattern])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_every_enumerated_branch_point_classifies_to_its_own_label_and_pattern(n):
     model = clark_model(n=n)
     es = enumerate_critical_set(model, z_samples=5)
-    labels, patterns = classify_model_point(model, es.coords)
+    labels, patterns = classify_model_point(model, es.coords, RESIDUAL_TOL)
     # the all-zero pattern at t = +-1 is the segment's endpoint, so it (and
     # every segment row) is classified Z with no pattern
     on_axis = [p is None or p == "0" * n for p in es.patterns]
@@ -206,7 +206,7 @@ def test_enumeration_is_bounded_in_the_truncation_size():
     for n in (models.ENUMERATION_N_MAX + 1, 40):
         model = clark_model(n=n)
         oracle = CriticalSetOracle(model)
-        pos, neg = model.params.branch_magnitudes(1.0)
+        pos, neg = model.branch_magnitudes(1.0)
         pick = np.arange(n) % 3
         at_one = np.r_[1.0, np.select([pick == 1, pick == 2], [pos, -neg], 0.0)]
         members = np.stack([at_one, -at_one + 0.0])
@@ -256,7 +256,7 @@ def _table_oracle_reference(model, coords):
     t, x = coords[:, 0], coords[:, 1:]
     seg = np.sqrt(np.maximum(np.abs(t) - 1.0, 0.0) ** 2 + np.sum(x * x, axis=1))
     return np.minimum(seg, topology.nearest_distances(
-        coords, models._branch_rows(model.params)[1]))
+        coords, models._branch_rows(model)[1]))
 
 
 @st.composite
@@ -268,7 +268,7 @@ def _oracle_rows(draw, n):
     if kind == "box":
         row = np.array(draw(st.lists(st.floats(-1.6, 1.6), min_size=n + 1, max_size=n + 1)))
     else:
-        pos, neg = ModelParams(n=n).branch_magnitudes(1.0)
+        pos, neg = clark_model(n=n).branch_magnitudes(1.0)
         pick = np.array(draw(st.lists(st.sampled_from([1, 0, -1]), min_size=n, max_size=n)))
         side = draw(st.sampled_from([1.0, -1.0]))
         row = side * np.r_[1.0, np.where(pick > 0, pos, 0.0) - np.where(pick < 0, neg, 0.0)] + 0.0
@@ -337,17 +337,21 @@ def test_segment_distance_is_exact_and_bounds_the_sampled_one(rows):
 
 def test_classification_recognizes_all_families():
     model = clark_model(n=3)
+
+    def classify(rows):
+        return classify_model_point(model, rows, RESIDUAL_TOL)
+
     branch = np.array([1.0, 1.0, 0.0, -3.0 ** -6])
-    assert classify_model_point(model, branch[None]) == (["N"], ["+0-"])
-    assert classify_model_point(model, -branch[None]) == (["-N"], ["-0+"])
-    assert classify_model_point(model, np.array([[0.37, 0.0, 0.0, 0.0]])) == (["Z"], [None])
-    labels, _ = classify_model_point(model, np.array([[0.5, 0.3, 0.0, 0.0]]))
+    assert classify(branch[None]) == (["N"], ["+0-"])
+    assert classify(-branch[None]) == (["-N"], ["-0+"])
+    assert classify(np.array([[0.37, 0.0, 0.0, 0.0]])) == (["Z"], [None])
+    labels, _ = classify(np.array([[0.5, 0.3, 0.0, 0.0]]))
     assert labels == ["other"]
     # a batch gives a list of labels and a list of patterns, an empty one two
     # empty lists
     rows = np.stack([branch, -branch, np.array([0.37, 0.0, 0.0, 0.0])])
-    assert classify_model_point(model, rows) == (["N", "-N", "Z"], ["+0-", "-0+", None])
-    assert classify_model_point(model, np.empty((0, 4))) == ([], [])
+    assert classify(rows) == (["N", "-N", "Z"], ["+0-", "-0+", None])
+    assert classify(np.empty((0, 4))) == ([], [])
 
 
 def _classify_one(coords, residual_tol):
@@ -396,7 +400,7 @@ def test_batched_classification_equals_the_per_point_one(n, tol, data):
 
 def test_interior_exclusion_margins_and_flow_crosscheck():
     model = clark_model(n=2)
-    report = verify_no_interior_negatives(model, seeds=80, seed_rng=1)
+    report = verify_no_interior_negatives(model)
     # tail/cap ratio is 81/160 for every leading index, margin 79/160
     assert report.min_margin == pytest.approx(79.0 / 160.0, abs=1e-12)
     assert all(r[4] == pytest.approx(79.0 / 160.0, abs=1e-12) for r in report.bound_rows)

@@ -11,7 +11,6 @@ from clarklab.errors import InvalidParams
 from clarklab.functionals import Functional
 from clarklab.models import (
     CriticalSetOracle,
-    ModelParams,
     clark_model,
     classify_model_point,
     sublinear_energy,
@@ -25,6 +24,7 @@ from clarklab.solvers import (
     _MIN_STEP,
     _SHRINK,
     _STEP_CAP,
+    RESIDUAL_TOL,
     STOP_BUDGET,
     STOP_CONVERGED,
     STOP_STALLED,
@@ -44,7 +44,7 @@ def test_flow_converges_to_the_nearest_branch_point():
     row = gradient_flow_solve_batch(model, seed, SolveConfig())[0]
     assert row.stop == "converged"
     assert row.residual <= 1e-8
-    assert classify_model_point(model, row.coords[None], 1e-8) == (["N"], ["+00"])
+    assert classify_model_point(model, row.coords[None], RESIDUAL_TOL) == (["N"], ["+00"])
     assert row.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
     assert np.linalg.norm(row.coords - np.array([1.0, 1.0, 0.0, 0.0])) < 1e-6
 
@@ -86,7 +86,7 @@ def test_flow_reports_a_collapsed_step_as_stalled():
 def test_batch_rows_match_single_seed_solves():
     model = clark_model(n=2)
     rng = np.random.default_rng(11)
-    seeds = model_seed_sampler(model.params, rng, 6)
+    seeds = model_seed_sampler(model, rng, 6)
     cfg = SolveConfig()
     rows = gradient_flow_solve_batch(model, seeds, cfg)
     for seed, row in zip(seeds, rows):
@@ -108,7 +108,7 @@ def _full_gradient_reference(f, seeds, cfg):
     grad = f.grad_of(u)
     res = np.asarray(f.space.norm(grad))
     gg = res * res
-    active = res > cfg.residual_tol
+    active = res > RESIDUAL_TOL
     while np.any(active):
         idx = np.flatnonzero(active)
         prop = u[idx] - h[idx, None] * grad[idx]
@@ -126,7 +126,7 @@ def _full_gradient_reference(f, seeds, cfg):
             gg[acc] = res[acc] * res[acc]
         h[idx[~accept]] *= _SHRINK
         steps[idx] += 1
-        stop = ((res[idx] <= cfg.residual_tol) | (tau[idx] >= cfg.max_flow_time)
+        stop = ((res[idx] <= RESIDUAL_TOL) | (tau[idx] >= cfg.max_flow_time)
                 | (h[idx] < _MIN_STEP))
         active[idx[stop]] = False
     return u, energy, tau, steps
@@ -164,8 +164,7 @@ def test_small_ball_rows_reach_the_quartic_bottom_in_few_steps():
 # blocks and on the one-block path of an H01 functional
 
 SOLVE_CASES = {
-    "blocks": (clark_model(n=2), SolveConfig(),
-               lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
+    "blocks": (clark_model(n=2), SolveConfig(), model_seed_sampler),
     "one_block": (sublinear_energy(H01Grid(6)), SolveConfig(max_flow_time=10.0),
                   lambda f, rng, m: ball_seed_sampler(f.space, 1.0, rng, m)),
     "wrapper": (wrapper_functional(H01Grid(6)), SolveConfig(max_flow_time=100.0),
@@ -204,7 +203,7 @@ def _scatter_reference(f, seeds, cfg):
     tau = np.zeros((len(u), nb))
     energy, grad = f.value_and_grad(u)
     res = space.norm(grad)
-    done = ~(res > cfg.residual_tol)
+    done = ~(res > RESIDUAL_TOL)
     rejected = 0
 
     k = 0
@@ -212,7 +211,7 @@ def _scatter_reference(f, seeds, cfg):
         if np.any(done):
             flow_time = np.min(tau, axis=1)
             for i in np.flatnonzero(done):
-                if res[i] <= cfg.residual_tol:
+                if res[i] <= RESIDUAL_TOL:
                     stop = STOP_CONVERGED
                 elif flow_time[i] >= cfg.max_flow_time:
                     stop = STOP_BUDGET
@@ -254,7 +253,7 @@ def _scatter_reference(f, seeds, cfg):
         h[~accept, b] *= _SHRINK
         k += 1
 
-        done = ((res <= cfg.residual_tol) | (np.min(tau, axis=1) >= cfg.max_flow_time)
+        done = ((res <= RESIDUAL_TOL) | (np.min(tau, axis=1) >= cfg.max_flow_time)
                 | (h[:, b] < _MIN_STEP))
 
 
@@ -262,8 +261,8 @@ def _scatter_reference(f, seeds, cfg):
 REFERENCE_CASES = {
     "wrapper": (wrapper_functional(H01Grid(4)),
                 lambda f, rng, m: ball_seed_sampler(f.space, 2.0, rng, m)),
-    "model2": (clark_model(n=2), lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
-    "model3": (clark_model(n=3), lambda f, rng, m: model_seed_sampler(f.params, rng, m)),
+    "model2": (clark_model(n=2), model_seed_sampler),
+    "model3": (clark_model(n=3), model_seed_sampler),
 }
 
 
@@ -374,7 +373,7 @@ def test_an_empty_batch_gives_no_rows(f):
 
 
 @pytest.mark.parametrize("f, sampler", [
-    (clark_model(n=2), lambda f, rng: model_seed_sampler(f.params, rng, 2)),
+    (clark_model(n=2), lambda f, rng: model_seed_sampler(f, rng, 2)),
     (sublinear_energy(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.0, rng, 2)),
     (wrapper_functional(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.5, rng, 2)),
 ], ids=["model", "sublinear", "wrapper"])
@@ -393,8 +392,6 @@ def test_a_nan_seed_stalls_at_once_and_leaves_its_batch_mate_alone(f, sampler):
 def test_invalid_config_rejected():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(InvalidParams):
-            SolveConfig(residual_tol=bad)
-        with pytest.raises(InvalidParams):
             SolveConfig(max_flow_time=bad)
 
 
@@ -402,9 +399,8 @@ def test_invalid_config_rejected():
 # samplers
 
 def test_model_seed_sampler_shape_range_and_sparsity():
-    params = ModelParams(n=3)
     rng = np.random.default_rng(0)
-    seeds = model_seed_sampler(params, rng, 600)
+    seeds = model_seed_sampler(clark_model(n=3), rng, 600)
     assert seeds.shape == (600, 4)
     assert np.max(np.abs(seeds[:, 0])) < 1.0
     box = 18.0 * 3.0 ** (-2 * np.arange(1, 4))
@@ -450,7 +446,7 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
                                      rel=1e-14, abs=0.0)
         assert oracle.distance(c) <= dist
     assert [([label], [pattern]) for label, pattern in zip(report.labels, report.patterns)] == [
-        classify_model_point(model, c[None], 1e-8) for c in report.coords]
+        classify_model_point(model, c[None], RESIDUAL_TOL) for c in report.coords]
     keys = [(v, tuple(c)) for v, c in zip(report.values.tolist(), report.coords.tolist())]
     assert keys == sorted(keys)
 
