@@ -1,15 +1,17 @@
 """Shooting construction of the nodal family for the sublinear
 two-point problem  u'' + |u|^(p-1) u = 0,  u(0) = u(1) = 0,  p in (0,1).
 
-One positive arch is shot from the origin with unit slope; every family
-member is an exact rescaling of it:
+One positive arch is shot from the origin with unit slope, once per
+family; every family member is an exact rescaling of it:
 
     w(x) = alpha * u(beta x)  solves the same equation when
     beta^2 = alpha^(p-1),
 
 so compressing the base arch by beta = k and alternating signs across
 the k subintervals yields the k-nodal-domain solution with amplitude
-factor k^(2/(p-1)).  The nonlinearity is only Hoelder at u = 0, but all
+factor k^(2/(p-1)) and initial slope k^((p+1)/(p-1)) u_1'(0).  The
+cross-check shoots the ODE once more, from a member's own slope over all
+of [0, 1].  The nonlinearity is only Hoelder at u = 0, but all
 zeros of nontrivial solutions are transversal (the conserved energy
 (1/2) u'^2 + |u|^(p+1)/(p+1) is positive), so a standard integrator with
 event detection is adequate.
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import InvalidParams, NoCrossing
-from .spaces import H01Grid, Point
+from .spaces import H01Grid
 
 
 def _check_p(p: float):
@@ -41,24 +43,16 @@ def energy_scaling_exponent(p: float) -> float:
     return (2.0 * p + 2.0) / (p - 1.0)
 
 
-@dataclass
-class Trajectory:
-    crossing_times: np.ndarray
-    sol: object  # dense OdeSolution
-
-    def value(self, t):
-        return np.asarray(self.sol(np.asarray(t, dtype=float)))[0]
-
-
 def _rhs(t, y, p):
     u, v = y
     return [v, -np.sign(u) * np.abs(u) ** p]
 
 
-def shoot(p: float, slope: float, t_max: float) -> Trajectory:
+def shoot(p: float, slope: float, t_max: float):
     """Integrate from u(0)=0, u'(0)=slope with dense output and
-    zero-crossing detection up to t_max.  The crossing times may be empty;
-    the events do not change the integrator's steps."""
+    zero-crossing detection up to t_max.  Returns the crossing times, which
+    may be empty, and the dense solution, whose rows are u and u'; the
+    events do not change the integrator's steps."""
     _check_p(p)
     if slope == 0.0:
         raise InvalidParams("slope must be nonzero")
@@ -74,7 +68,7 @@ def shoot(p: float, slope: float, t_max: float) -> Trajectory:
                     args=(p,))
     times = sol.t_events[0]
     times = times[times > 1e-12]  # the launch point itself is a zero
-    return Trajectory(crossing_times=times, sol=sol.sol)
+    return times, sol.sol
 
 
 @dataclass
@@ -83,11 +77,11 @@ class BaseProfile:
 
     t1: float       # first zero time of the unit-slope shot
     alpha: float    # amplitude factor t1^(2/(p-1))
-    traj: Trajectory
+    sol: object     # the shot's dense solution
 
     def sample(self, x):
         """(value, derivative) at x, from one dense-output evaluation."""
-        y = np.asarray(self.traj.sol(self.t1 * np.asarray(x, dtype=float)))
+        y = np.asarray(self.sol(self.t1 * np.asarray(x, dtype=float)))
         return self.alpha * y[0], self.alpha * self.t1 * y[1]
 
 
@@ -97,18 +91,18 @@ _SHOOT_T_MAX = 4.0
 
 
 def base_profile(p: float) -> BaseProfile:
-    traj = shoot(p, 1.0, _SHOOT_T_MAX)
-    if traj.crossing_times.size == 0:
+    times, sol = shoot(p, 1.0, _SHOOT_T_MAX)
+    if times.size == 0:
         raise NoCrossing(f"no return to zero before t_max = {_SHOOT_T_MAX}")
-    t1 = float(traj.crossing_times[0])
-    return BaseProfile(t1=t1, alpha=t1 ** (2.0 / (p - 1.0)), traj=traj)
+    t1 = float(times[0])
+    return BaseProfile(t1=t1, alpha=t1 ** (2.0 / (p - 1.0)), sol=sol)
 
 
 @dataclass
 class NodalSolution:
     p: float
     k: int
-    grid_values: Point
+    slope: float                 # u_k'(0)
     abscissae: np.ndarray        # 0, interior nodes, 1
     values_full: np.ndarray      # with the boundary zeros
     energy_norm_sq: float
@@ -145,9 +139,9 @@ def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSoluti
     # sign(u)|u|^p, not |u|^(p-1) u: the latter is 0**negative at joints
     strong = float(np.max(np.abs(lap + np.sign(u[1:-1]) * np.abs(u[1:-1]) ** p)))
 
+    slope_1 = prof.alpha * prof.t1     # u_1'(0)
     return NodalSolution(
-        p=p, k=k,
-        grid_values=Point(u[1:-1], grid),
+        p=p, k=k, slope=float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1,
         abscissae=x, values_full=u,
         energy_norm_sq=norm_sq, j_value=j_val, nehari_residual=nehari,
         sup_norm=float(np.max(np.abs(u))),
@@ -165,12 +159,10 @@ def nodal_family(p: float, kmax: int, grid: H01Grid) -> list:
     return [_assemble(p, k, prof, grid) for k in range(1, kmax + 1)]
 
 
-def reshoot_values(p: float, k: int, grid: H01Grid) -> np.ndarray:
-    """Cross-check: integrate the ODE directly with the k-solution's
-    initial slope over all of [0,1] (no rescaling afterwards) and sample
-    the grid abscissae.  Scaling exactness means this should match the
-    compressed construction to integrator accuracy."""
-    prof = base_profile(p)
-    slope_1 = prof.alpha * prof.t1     # u_1'(0)
-    slope_k = float(k) ** ((p + 1.0) / (p - 1.0)) * slope_1
-    return shoot(p, slope_k, 1.0).value(grid.grid)
+def reshoot_values(member: NodalSolution, grid: H01Grid) -> np.ndarray:
+    """Cross-check: integrate the ODE directly from the member's initial
+    slope over all of [0,1] (no rescaling afterwards) and sample the grid
+    abscissae.  Scaling exactness means this should match the compressed
+    construction to integrator accuracy."""
+    _, sol = shoot(member.p, member.slope, 1.0)
+    return sol(grid.grid)[0]

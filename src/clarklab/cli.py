@@ -35,8 +35,8 @@ from .functionals import ps_diagnostic
 from .models import (
     ENUMERATION_N_MAX,
     LEVEL_J_MAX,
+    ClarkModel,
     CriticalSetOracle,
-    clark_model,
     enumerate_critical_set,
 )
 from .solvers import SolveConfig, accumulation_scan
@@ -181,7 +181,7 @@ def _write_points(path: Path, header, columns, coords):
 # experiments: each writes its own CSV files and returns (results, checks)
 
 def _run_enumerate(ns, out: Path):
-    model = clark_model(n=ns.n)
+    model = ClarkModel(ns.n)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
     labels = es.labels.tolist()
     worst = float(np.max(es.residuals))
@@ -197,7 +197,7 @@ def _run_enumerate(ns, out: Path):
 
 
 def _run_scan(ns, out: Path):
-    model = clark_model(n=ns.n)
+    model = ClarkModel(ns.n)
     cfg = SolveConfig(max_flow_time=ns.max_flow_time)
     report = accumulation_scan(model, (ns.window_lo, ns.window_hi), ns.seeds, ns.seed,
                                cfg, threads=ns.threads)
@@ -257,7 +257,7 @@ def _run_stabilize(ns, out: Path):
     seg = np.arange(-1.0, 1.0 + 1e-12, 0.01)[:, None]
     rep_seg = origin_component_stabilization(Cloud(seg), (0.3, 0.2, 0.1, 0.05))
 
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     es = enumerate_critical_set(model, z_samples=ns.z_samples)
     cloud = Cloud(es.coords)
     rep_model = origin_component_stabilization(cloud, _MODEL_SCHEDULE)
@@ -295,7 +295,7 @@ def _run_stabilize(ns, out: Path):
 
 def _run_minimax(ns, out: Path):
     from .minimax import cj_upper_bound, coordinate_model_bound
-    model = clark_model(n=ns.n)
+    model = ClarkModel(ns.n)
     estimates = [cj_upper_bound(model, j) for j in range(1, ns.jmax + 1)]
     bounds = [e.upper_bound for e in estimates]
     # the sphere-sup table: every radius each level evaluated, and its sup
@@ -337,8 +337,8 @@ def _run_bvp(ns, out: Path):
     slope = float(np.polyfit(np.log(ks), np.log([s.energy_norm_sq for s in family]), 1)[0])
     expected = energy_scaling_exponent(ns.p)
 
-    re2 = reshoot_values(ns.p, 2, grid)
-    reshoot_dev = float(np.max(np.abs(re2 - family[1].grid_values.coords)))
+    re2 = reshoot_values(family[1], grid)
+    reshoot_dev = float(np.max(np.abs(re2 - family[1].values_full[1:-1])))
 
     ratio = (1.0 - ns.p) / (2.0 * (ns.p + 1.0))
     j_dev = max(abs(s.j_value + ratio * s.energy_norm_sq) / abs(s.j_value)
@@ -360,7 +360,7 @@ def _run_bvp(ns, out: Path):
 
 
 def _run_psdiag(ns, out: Path):
-    model = clark_model(n=ns.n)
+    model = ClarkModel(ns.n)
     seq = []
     for k in range(1, ns.n + 1):
         coords = np.zeros(ns.n + 1)

@@ -127,7 +127,7 @@ def estimate_bounds(f: Functional, k0i: Cloud, k0e: Cloud, r: float,
             "the excluded neighborhoods; the cluster partition does not match "
             "this functional")
     nu = 0.9 * inf
-    eps = min(rho, nu * r) / 3.0 / 2.0
+    eps = _cutoff_levels(rho, nu, r)[1]
     keep = (values >= -rho) & (values <= -eps) & (dist_k0e > r)
     inf = float(np.min(residuals[keep], initial=np.inf))
     if inf <= _NU_FLOOR:
@@ -163,6 +163,12 @@ def _check_clusters(k0i: Cloud, k0e: Cloud, delta0: float):
     Cloud(k0e.coords, symmetric=True)  # oddness needs a symmetric exterior cloud
 
 
+def _cutoff_levels(rho: float, nu: float, r: float):
+    """The cutoff field's levels d = min(rho, nu*r)/3 and eps = d/2."""
+    d = min(rho, nu * r) / 3.0
+    return d, d / 2.0
+
+
 @dataclass(frozen=True)
 class DeformationSetup:
     f: Functional
@@ -184,11 +190,11 @@ class DeformationSetup:
 
     @cached_property
     def d(self) -> float:
-        return min(self.rho, self.nu * self.r) / 3.0
+        return _cutoff_levels(self.rho, self.nu, self.r)[0]
 
     @cached_property
     def eps(self) -> float:
-        return self.d / 2.0
+        return _cutoff_levels(self.rho, self.nu, self.r)[1]
 
     @cached_property
     def t_eps(self) -> float:
@@ -196,7 +202,7 @@ class DeformationSetup:
 
 
 def make_setup(f: Functional, k0i: Cloud, k0e: Cloud, delta0: float,
-               budget: int = 20000, seed: int = 0) -> DeformationSetup:
+               budget: int, seed: int) -> DeformationSetup:
     """The deformation setup of the interior cluster k0i and the exterior
     cluster k0e at delta0, with its bounds sampled at r = delta0/3."""
     _check_clusters(k0i, k0e, delta0)

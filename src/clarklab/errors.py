@@ -37,7 +37,7 @@ class SetupInconsistent(ClarkLabError):
 class DeformationFailure(ClarkLabError):
     """The deformation contract failed on a concrete trajectory."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
 

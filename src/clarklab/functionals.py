@@ -10,11 +10,11 @@ difference check compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInput, InvalidPoint
+from .errors import DimensionError, EmptyInput, InvalidParams, InvalidPoint
 from .spaces import Point, SpaceTag
 from .topology import Cloud, components
 
@@ -72,7 +72,7 @@ class RelErrorReport:
 
     max_rel_error: float
     per_coordinate: np.ndarray
-    skipped: list = field(default_factory=list)  # (index, reason) pairs
+    skipped: list  # (index, reason) pairs
 
 
 _FD_STEP = 1e-6
@@ -131,7 +131,7 @@ class PSReport:
     note: str
 
 
-def ps_diagnostic(functional: Functional, sequence, level: float, tol: float = 1e-6) -> PSReport:
+def ps_diagnostic(functional: Functional, sequence, level: float, tol: float) -> PSReport:
     """Tail behaviour of values and residuals of a sequence of Points.
 
     The tail is the last quarter of the sequence (at least one element).
@@ -139,8 +139,11 @@ def ps_diagnostic(functional: Functional, sequence, level: float, tol: float = 1
     scale tol/2 (``topology.components``), so two tail points chain when
     their distance is strictly below tol; a pair at distance exactly tol
     does not.  A cluster counts as convergent when its diameter is at
-    most tol.
+    most tol, which must be positive.
     """
+    # a NaN passes "<= 0" unnoticed, so the test is "not > 0"
+    if not tol > 0:
+        raise InvalidParams("tol must be positive")
     if len(sequence) == 0:
         raise EmptyInput("ps_diagnostic needs a non-empty sequence")
     for p in sequence:

@@ -2,7 +2,7 @@
 
 Three families live here, all even, bounded below, and C1 but not C2:
 
-* ``clark_model``      -- a coordinate model on R^(n+1).  A point is
+* ``ClarkModel(n)``    -- a coordinate model on R^(n+1).  A point is
   (t, x_1, ..., x_n) and
 
       I(t, x) = 1/2 sum x_j^2
@@ -20,21 +20,23 @@ Three families live here, all even, bounded below, and C1 but not C2:
   residual tolerances (a sine profile flattens too fast in t and leaves
   the flow stranded an order of magnitude outside the oracle tolerance).
 
-* ``sublinear_energy`` -- the Dirichlet energy minus a sublinear potential
+* ``SublinearEnergy``  -- the Dirichlet energy minus a sublinear potential
   on an H01 grid:  J(u) = 1/2 ||u||^2 - 1/(p+1) integral |u|^(p+1),
   p in (0, 1).  Critical points solve u'' + |u|^(p-1) u = 0 with zero
   boundary values.
 
-* ``wrapper_functional`` -- a radial recomposition of J whose critical
+* ``WrapperFunctional`` -- a radial recomposition of J whose critical
   values in (0, infinity) sit on spheres:  I(u) = 1 - cos(2 pi ||u||^2)
   for ||u|| <= 1 and I(u) = J((||u||^2 - 1) u) outside.  The origin is an
   isolated critical point at level 0 and the spheres ||u||^2 = 1/2 and
-  ||u||^2 = 1 are critical with values 2 and 0.
+  ||u||^2 = 1 are critical with values 2 and 0.  ``wrapper_functional(grid)``
+  builds it at p = 1/2.
 
-``ClarkModel(n)`` owns n, the weights 3^(-j) and the branch magnitudes.  Its
-closed-form critical set (enumeration, oracle, labels) lives here; the flows
-that reach it, and the checks on them, live in ``solvers``, which imports
-this module and not the other way round.
+Each functional is built by its constructor.  ``ClarkModel(n)`` owns n,
+the weights 3^(-j) and the branch magnitudes.  Its closed-form critical set
+(enumeration, oracle, labels) lives here; the flows that reach it, and the
+checks on them, live in ``solvers``, which imports this module and not the
+other way round.
 """
 
 from __future__ import annotations
@@ -143,10 +145,6 @@ class ClarkModel(Functional):
         return gaps
 
 
-def clark_model(n: int = 4) -> ClarkModel:
-    return ClarkModel(n)
-
-
 # ---------------------------------------------------------------------------
 # the known critical set
 
@@ -203,7 +201,7 @@ class EnumeratedCriticalSet:
     patterns: list
 
 
-def enumerate_critical_set(model: ClarkModel, z_samples: int = 201) -> EnumeratedCriticalSet:
+def enumerate_critical_set(model: ClarkModel, z_samples: int) -> EnumeratedCriticalSet:
     """All branch points at t = +-1 plus a sampling of the zero segment.
 
     Branch points come in 3^n sign patterns at t = 1 (label N) and their
@@ -332,10 +330,6 @@ class SublinearEnergy(Functional):
         return np.abs(np.asarray(coords, dtype=float))
 
 
-def sublinear_energy(grid: H01Grid, p: float = 0.5):
-    return SublinearEnergy(grid, p=p)
-
-
 class WrapperFunctional(Functional):
     """Radial wrapper around the sublinear energy.
 
@@ -345,7 +339,7 @@ class WrapperFunctional(Functional):
     the chain rule from the Riesz gradient of J.
     """
 
-    def __init__(self, grid: H01Grid, p: float = 0.5):
+    def __init__(self, grid: H01Grid, p: float):
         self.space = grid
         self.inner_energy = SublinearEnergy(grid, p=p)
 
@@ -399,5 +393,6 @@ class WrapperFunctional(Functional):
         return ((slice(None), False),)
 
 
-def wrapper_functional(grid: H01Grid, p: float = 0.5):
-    return WrapperFunctional(grid, p=p)
+def wrapper_functional(grid: H01Grid, p: float = 0.5) -> WrapperFunctional:
+    """The wrapper on ``grid``, at p = 1/2 unless p is given."""
+    return WrapperFunctional(grid, p)

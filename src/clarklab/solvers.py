@@ -240,7 +240,7 @@ class AccumulationReport:
 
 
 def accumulation_scan(model: ClarkModel, window, n_seeds: int, seed: int,
-                      cfg: SolveConfig | None = None, threads: int = 1) -> AccumulationReport:
+                      cfg: SolveConfig, threads: int) -> AccumulationReport:
     """Launch descent flows from ``n_seeds`` seeds drawn with rng ``seed``
     on the coordinate model and keep converged terminals whose value falls
     strictly inside the window (lo, hi), hi <= 0, labelled by one batched
@@ -253,7 +253,6 @@ def accumulation_scan(model: ClarkModel, window, n_seeds: int, seed: int,
         raise InvalidParams(f"window must satisfy lo < hi <= 0, got ({lo}, {hi})")
     if n_seeds < 1:
         raise InvalidParams("n_seeds must be positive")
-    cfg = cfg or SolveConfig()
     seeds = model_seed_sampler(model, np.random.default_rng(seed), n_seeds)
 
     if threads > 1:

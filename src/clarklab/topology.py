@@ -140,7 +140,7 @@ class StabilizationReport:
     sizes: list
     nested_ok: bool
     stabilized: bool
-    note: str = ""
+    note: str
 
 
 def origin_component_stabilization(cloud: Cloud, delta_schedule) -> StabilizationReport:

@@ -20,9 +20,9 @@ from clarklab.deformation import (
 from clarklab.functionals import fd_gradient_check
 from clarklab.minimax import cj_upper_bound
 from clarklab.models import (
+    ClarkModel,
     CriticalSetOracle,
-    clark_model,
-    sublinear_energy,
+    SublinearEnergy,
     wrapper_functional,
 )
 from clarklab.solvers import (
@@ -44,7 +44,7 @@ def _report(num: int, ok: bool, detail: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_flow_terminals_match_the_enumerated_set():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     oracle = CriticalSetOracle(model)
     rng = np.random.default_rng(0)
     seeds = model_seed_sampler(model, rng, 2000)
@@ -64,11 +64,11 @@ def test_criterion_01_flow_terminals_match_the_enumerated_set():
 
 
 def test_criterion_02_exact_closed_form_values():
-    m3 = clark_model(n=3)
+    m3 = ClarkModel(3)
     v = m3.evaluate(Point(np.array([1.0, 1.0, 0.0, 0.0]), m3.space))
     dev = abs(v + 1.0 / 6.0)
 
-    m4 = clark_model(n=4)
+    m4 = ClarkModel(4)
     worst_pattern = 0.0
     for j in range(1, 5):
         coords = np.zeros(5)
@@ -83,7 +83,7 @@ def test_criterion_02_exact_closed_form_values():
 
 
 def test_criterion_03_interior_band_is_excluded():
-    rep = verify_no_interior_negatives(clark_model(n=3))
+    rep = verify_no_interior_negatives(ClarkModel(3))
     frac = rep.converged / rep.seeds_run
     ok = (rep.passed and not rep.violations and rep.min_margin >= 0.25
           and len(rep.bound_rows) >= 6 and frac >= 0.9)
@@ -93,7 +93,7 @@ def test_criterion_03_interior_band_is_excluded():
 
 
 def test_criterion_04_single_axis_sequence_accumulates_at_the_pole():
-    model = clark_model(n=8)
+    model = ClarkModel(8)
     worst_val, worst_dist = 0.0, 0.0
     all_negative = True
     for k in range(1, 9):
@@ -145,7 +145,7 @@ def test_criterion_06_origin_component_stabilization_examples():
     rep_seg = origin_component_stabilization(Cloud(seg), (0.3, 0.2, 0.1, 0.05))
 
     from clarklab.models import enumerate_critical_set
-    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords)
+    cloud = Cloud(enumerate_critical_set(ClarkModel(2), z_samples=20001).coords)
     rep_model = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
     axis_count = int(np.sum(np.linalg.norm(cloud.coords[:, 1:], axis=1) == 0.0))
 
@@ -173,7 +173,7 @@ def test_criterion_06_origin_component_stabilization_examples():
 
 
 def test_criterion_07_minimax_upper_bounds_order_and_vanish():
-    model = clark_model(n=8)
+    model = ClarkModel(8)
     bounds = [cj_upper_bound(model, j).upper_bound for j in range(1, 7)]
     ok = (all(b < 0.0 for b in bounds)
           and all(a <= b + 1e-15 for a, b in zip(bounds, bounds[1:]))
@@ -225,8 +225,8 @@ def test_criterion_09_nodal_family_laws_on_the_grid():
                              np.log([s.energy_norm_sq for s in family]), 1)[0])
     j_dev = max(abs(s.j_value + s.energy_norm_sq / 6.0) / abs(s.j_value)
                 for s in family)
-    re_dev = float(np.max(np.abs(reshoot_values(0.5, 2, grid)
-                                 - family[1].grid_values.coords)))
+    re_dev = float(np.max(np.abs(reshoot_values(family[1], grid)
+                                 - family[1].values_full[1:-1])))
 
     ok = (nehari < 1e-6 and abs(slope + 6.0) <= 0.01
           and j_dev <= 1e-6 and re_dev <= 1e-5)
@@ -251,12 +251,12 @@ def test_criterion_10_finite_difference_gradient_integrity():
             found += 1
         return worst
 
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     w_model = kink_free(
         model, lambda: np.concatenate([rng.uniform(-1.5, 1.5, 1),
                                        rng.uniform(-1.0, 1.0, 3)]), 100)
 
-    energy = sublinear_energy(H01Grid(60))
+    energy = SublinearEnergy(H01Grid(60))
     w_energy = kink_free(energy, lambda: 0.5 * rng.normal(size=60), 100)
 
     wrap = wrapper_functional(H01Grid(10))

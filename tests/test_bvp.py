@@ -43,15 +43,15 @@ def test_crossing_time_scales_with_the_slope():
     p = 0.5
     t1 = exact_first_crossing(p)
     for slope in (0.1, 0.01):
-        traj = shoot(p, slope, t_max=4.0)
-        assert traj.crossing_times[0] == pytest.approx(
+        times, _ = shoot(p, slope, t_max=4.0)
+        assert times[0] == pytest.approx(
             t1 * slope ** ((1.0 - p) / (1.0 + p)), rel=1e-7)
 
 
 def test_shoot_reports_missing_crossings(monkeypatch):
     # the arc needs ~2.85 time units: a shorter shot has no crossing, and
     # only the base profile, which needs one, raises
-    assert shoot(0.5, 1.0, t_max=1.0).crossing_times.size == 0
+    assert shoot(0.5, 1.0, t_max=1.0)[0].size == 0
     monkeypatch.setattr(bvp, "_SHOOT_T_MAX", 1.0)
     with pytest.raises(NoCrossing):
         base_profile(0.5)
@@ -65,11 +65,11 @@ def test_the_shoot_horizon_covers_the_first_crossing_for_every_p(p):
 
 
 def test_trajectory_vanishes_at_the_reported_crossings():
-    traj = shoot(0.5, 0.2, t_max=8.0)
-    assert len(traj.crossing_times) >= 1
-    assert np.all(np.diff(traj.crossing_times) > 0)
-    for tc in traj.crossing_times:
-        assert abs(float(traj.sol(tc)[0])) < 1e-9
+    times, sol = shoot(0.5, 0.2, t_max=8.0)
+    assert len(times) >= 1
+    assert np.all(np.diff(times) > 0)
+    for tc in times:
+        assert abs(float(sol(tc)[0])) < 1e-9
 
 
 def test_scaling_exponent_formulas():
@@ -132,9 +132,34 @@ def test_nodal_family_scales_and_alternates():
 
 def test_reshot_solution_matches_the_rescaled_one():
     grid = H01Grid(1000)
-    re2 = reshoot_values(0.5, 2, grid)
     sol2 = nodal_family(0.5, 2, grid)[1]
-    assert np.max(np.abs(re2 - sol2.grid_values.coords)) < 1e-5
+    re2 = reshoot_values(sol2, grid)
+    assert np.max(np.abs(re2 - sol2.values_full[1:-1])) < 1e-5
+
+
+def test_a_family_and_its_reshot_make_two_ode_shots(monkeypatch):
+    # the base arch is shot once per family; the re-shot starts from the
+    # member's own slope instead of shooting the base arch again
+    calls = []
+    real = bvp.solve_ivp
+    monkeypatch.setattr(bvp, "solve_ivp", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    grid = H01Grid(200)
+    family = nodal_family(0.5, 3, grid)
+    reshoot_values(family[1], grid)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_the_reshot_keeps_the_bits_of_a_shot_from_the_base_profile(p):
+    # u_k'(0) = k^((p+1)/(p-1)) u_1'(0), with u_1'(0) = alpha * t1 of the
+    # base profile: the member's slope is that expression, bit for bit
+    grid = H01Grid(500)
+    prof = base_profile(p)
+    for member in nodal_family(p, 3, grid)[1:]:
+        slope = float(member.k) ** ((p + 1.0) / (p - 1.0)) * (prof.alpha * prof.t1)
+        assert member.slope == slope
+        _, sol = shoot(p, slope, 1.0)
+        assert np.array_equal(reshoot_values(member, grid), sol(grid.grid)[0])
 
 
 def test_nodal_solution_validates_inputs():

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from clarklab import cli, minimax
-from clarklab.models import clark_model, enumerate_critical_set
-from clarklab.solvers import accumulation_scan
+from clarklab.models import ClarkModel, enumerate_critical_set
+from clarklab.solvers import SolveConfig, accumulation_scan
 
 
 def run_cli(*args):
@@ -210,10 +210,10 @@ def test_scan_with_an_empty_window_writes_an_empty_report(tmp_path):
 def test_point_csvs_round_trip_coordinates_and_patterns(tmp_path, experiment):
     # results.json holds no points, so the CSV must give back every
     # coordinate and pattern of the report exactly
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     if experiment == "scan":
         flags, name = ("--seeds", "40", "--seed", "4"), "scan.csv"
-        report = accumulation_scan(model, (-2.0, -1e-9), 40, 4)
+        report = accumulation_scan(model, (-2.0, -1e-9), 40, 4, SolveConfig(), 1)
     else:
         flags, name = ("--z-samples", "11"), "points.csv"
         report = enumerate_critical_set(model, z_samples=11)
@@ -356,6 +356,15 @@ def test_domain_errors_exit_two_with_a_note(tmp_path):
         assert manifest["status"] == "verification-failed"
         assert manifest["note"].startswith("InvalidParams")
         assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-6"])
+def test_psdiag_names_the_tol_it_rejects(tmp_path, capsys, tol):
+    # the tolerance the user passed is named, not the clustering scale tol/2
+    assert cli.main(["psdiag", f"--tol={tol}", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "clarklab psdiag: InvalidParams: tol must be positive\n"
+    assert read_json(tmp_path / "manifest.json")["status"] == "verification-failed"
+    assert not (tmp_path / "results.json").exists()
 
 
 def test_out_of_memory_exits_one_with_a_clean_line(tmp_path, monkeypatch, capsys):

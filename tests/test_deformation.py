@@ -76,12 +76,12 @@ def test_estimated_bounds_and_derived_constants():
 def test_bounds_estimation_validates_inputs():
     f, k0i, k0e, delta0 = two_cluster_setup_clouds(8)
     with pytest.raises(InvalidParams):
-        make_setup(f, Cloud(np.zeros((0, 2))), k0e, delta0)
+        make_setup(f, Cloud(np.zeros((0, 2))), k0e, delta0, budget=6000, seed=0)
     with pytest.raises(InvalidParams):
-        make_setup(f, k0i, Cloud(np.zeros((0, 2))), delta0)
+        make_setup(f, k0i, Cloud(np.zeros((0, 2))), delta0, budget=6000, seed=0)
     for bad in (0.0, -0.1):
         with pytest.raises(InvalidParams):
-            make_setup(f, k0i, k0e, bad)
+            make_setup(f, k0i, k0e, bad, budget=6000, seed=0)
 
 
 def test_setup_invariants_are_enforced():

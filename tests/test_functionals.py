@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from clarklab.errors import EmptyInput, InvalidPoint
+from clarklab.errors import EmptyInput, InvalidParams, InvalidPoint
 from clarklab.functionals import Functional, fd_gradient_check, ps_diagnostic
-from clarklab.models import clark_model
+from clarklab.models import ClarkModel
 from clarklab.spaces import L2Truncation, Point
 
 
@@ -37,7 +37,7 @@ def test_point_space_mismatch_is_rejected():
 
 
 def test_fd_check_accepts_correct_gradient():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     p = Point(np.array([0.4, 0.3, -0.2, 0.1]), model.space)
     report = fd_gradient_check(model, p)
     assert report.max_rel_error < 1e-6
@@ -46,7 +46,7 @@ def test_fd_check_accepts_correct_gradient():
 
 def test_fd_check_skips_coordinates_on_kinks():
     # x_2 = 0 and t = 1 are kink loci of the coordinate model
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     p = Point(np.array([1.0, 0.3, 0.0, 0.1]), model.space)
     report = fd_gradient_check(model, p)
     skipped_idx = {i for i, _ in report.skipped}
@@ -65,7 +65,7 @@ def test_fd_check_flags_wrong_gradient():
 def test_ps_diagnostic_accepts_vanishing_branch_sequence():
     # branch points marching down the coordinates: values rise to 0,
     # residuals are identically ~0, tail clusters at the segment endpoint
-    model = clark_model(n=8)
+    model = ClarkModel(8)
     seq = []
     for k in range(1, 9):
         coords = np.zeros(9)
@@ -104,6 +104,14 @@ def test_ps_diagnostic_rejects_wrong_level():
     assert report.residuals_vanish
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+def test_ps_diagnostic_rejects_a_tol_that_is_not_positive(tol):
+    f = Quadratic(2)
+    seq = [Point(np.zeros(2), f.space) for _ in range(4)]
+    with pytest.raises(InvalidParams, match="^tol must be positive$"):
+        ps_diagnostic(f, seq, 0.0, tol=tol)
+
+
 def test_ps_diagnostic_empty_sequence_raises():
     with pytest.raises(EmptyInput):
-        ps_diagnostic(Quadratic(2), [], 0.0)
+        ps_diagnostic(Quadratic(2), [], 0.0, tol=1e-6)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from clarklab import minimax
 from clarklab.errors import DimensionError, InvalidParams
 from clarklab.minimax import cj_upper_bound, coordinate_model_bound, sphere_sup_witness
-from clarklab.models import LEVEL_J_MAX, clark_model
+from clarklab.models import LEVEL_J_MAX, ClarkModel
 
 
 def exact_block_sup(k, rho):
@@ -27,7 +27,7 @@ def test_sphere_sup_matches_the_closed_form(data):
     k = data.draw(st.integers(1, n), label="k")
     rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
                     label="rho")
-    (got,), (w,) = sphere_sup_witness(clark_model(n=n), k, np.array([rho]))
+    (got,), (w,) = sphere_sup_witness(ClarkModel(n), k, np.array([rho]))
     assert got == pytest.approx(exact_block_sup(k, rho), rel=1e-10)
     # the sup sits on the weakest in-block axis, +-rho e_k
     assert np.flatnonzero(w).tolist() == [k]
@@ -44,7 +44,7 @@ def test_random_block_directions_never_beat_the_stencil_sup(data):
     rho = data.draw(st.floats(1e-7, 3.0, allow_nan=False, allow_infinity=False),
                     label="rho")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    model = clark_model(n=n)
+    model = ClarkModel(n)
     dirs = np.random.default_rng(seed).standard_normal((64, k))
     coords = np.zeros((64, n + 1))
     coords[:, 1:k + 1] = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
@@ -53,7 +53,7 @@ def test_random_block_directions_never_beat_the_stencil_sup(data):
 
 
 def test_sphere_witness_sits_on_the_block_sphere():
-    model = clark_model(n=5)
+    model = ClarkModel(5)
     (val,), (w,) = sphere_sup_witness(model, 3, np.array([0.2]))
     assert val == pytest.approx(exact_block_sup(3, 0.2), rel=1e-10)
     assert w[0] == 0.0                      # t stays pinned
@@ -64,7 +64,7 @@ def test_sphere_witness_sits_on_the_block_sphere():
 
 def test_upper_bounds_match_the_closed_form_optimum():
     for j in (1, 2, 3, 6, 7, 10, 40, 100, LEVEL_J_MAX):
-        model = clark_model(n=j)
+        model = ClarkModel(j)
         est = cj_upper_bound(model, j)
         rho_star, bound = exact_bound(j)
         assert coordinate_model_bound(j) == pytest.approx((rho_star, bound), rel=1e-12)
@@ -80,7 +80,7 @@ def test_upper_bounds_match_the_closed_form_optimum():
 
 
 def test_bounds_decrease_toward_zero_with_the_level():
-    model = clark_model(n=8)
+    model = ClarkModel(8)
     bounds = [cj_upper_bound(model, j).upper_bound for j in (1, 2, 3, 4)]
     assert all(b < 0 for b in bounds)
     assert bounds == sorted(bounds)
@@ -88,7 +88,7 @@ def test_bounds_decrease_toward_zero_with_the_level():
 
 
 def test_same_budget_is_deterministic():
-    model = clark_model(n=4)
+    model = ClarkModel(4)
     a = cj_upper_bound(model, 2)
     b = cj_upper_bound(model, 2)
     assert a.upper_bound == b.upper_bound
@@ -97,7 +97,7 @@ def test_same_budget_is_deterministic():
 
 
 def test_block_and_radius_validation():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     with pytest.raises(DimensionError):
         sphere_sup_witness(model, 4, np.array([0.1]))
     with pytest.raises(InvalidParams):
@@ -111,7 +111,7 @@ def test_block_and_radius_validation():
             sphere_sup_witness(model, 1, bad)
     # past LEVEL_J_MAX the level values leave the normal floats
     with pytest.raises(InvalidParams):
-        cj_upper_bound(clark_model(n=LEVEL_J_MAX + 1), LEVEL_J_MAX + 1)
+        cj_upper_bound(ClarkModel(LEVEL_J_MAX + 1), LEVEL_J_MAX + 1)
 
 
 # grid radii, radii between them and radii outside the grid's span
@@ -123,7 +123,7 @@ _RADII = st.one_of(st.sampled_from(list(minimax._RHO_GRID)),
 @given(data=st.data())
 def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data):
     n = data.draw(st.integers(1, 6), label="n")
-    f = clark_model(n=n)
+    f = ClarkModel(n)
     k = data.draw(st.integers(1, n), label="k")
     # random order, duplicates allowed
     radii = np.array(data.draw(st.lists(_RADII, min_size=1, max_size=5), label="radii"))
@@ -138,7 +138,7 @@ def test_a_radius_batch_equals_its_single_radius_calls_bit_for_bit(data):
 
 def test_each_level_is_one_value_call_and_no_gradient(monkeypatch):
     model_calls = {"value_of": 0, "value_and_grad": 0, "grad_of": 0}
-    model = clark_model(n=4)
+    model = ClarkModel(4)
 
     def counted(name):
         real = getattr(model, name)

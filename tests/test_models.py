@@ -15,12 +15,10 @@ from clarklab.models import (
     CriticalSetOracle,
     SublinearEnergy,
     WrapperFunctional,
-    clark_model,
     classify_model_point,
     enumerate_critical_set,
     mu_parts,
     phi_parts,
-    sublinear_energy,
     wrapper_functional,
 )
 from clarklab.solvers import RESIDUAL_TOL, verify_no_interior_negatives
@@ -65,7 +63,7 @@ def test_penalty_vanishes_inside_and_grows_quadratically():
 def test_single_axis_branch_values_in_closed_form():
     # only coordinate j active on the positive branch at t = 1:
     # x_j = 9 * 3^(-2j) and the value is -(27/2) * 3^(-4j)
-    model = clark_model(n=4)
+    model = ClarkModel(4)
     for j in range(1, 5):
         coords = np.zeros(5)
         coords[0] = 1.0
@@ -76,7 +74,7 @@ def test_single_axis_branch_values_in_closed_form():
 
 
 def test_branch_magnitudes_at_the_faces():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     pos, neg = model.branch_magnitudes(1.0)
     assert np.allclose(pos, 9.0 * 3.0 ** (-2 * np.arange(1, 4)), rtol=1e-15)
     assert np.allclose(neg, 1.0 * 3.0 ** (-2 * np.arange(1, 4)), rtol=1e-15)
@@ -85,7 +83,7 @@ def test_branch_magnitudes_at_the_faces():
 
 
 def test_value_is_even_and_zero_on_the_segment():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     rng = np.random.default_rng(0)
     u = rng.uniform(-1.2, 1.2, size=(40, 4))
     assert np.allclose(model.value_of(u), model.value_of(-u), atol=1e-15)
@@ -97,18 +95,18 @@ def test_value_is_even_and_zero_on_the_segment():
 
 
 def test_clark_model_factory_rejects_a_bad_dimension():
-    with pytest.raises(InvalidParams):
-        ClarkModel(0)
-    with pytest.raises(InvalidParams):
-        clark_model(n=0)
-    assert isinstance(clark_model(n=2), ClarkModel)
+    # the class is its own factory: it checks n itself
+    for bad in (0, -1):
+        with pytest.raises(InvalidParams):
+            ClarkModel(bad)
+    assert ClarkModel(2).n == 2
 
 
 # ---------------------------------------------------------------------------
 # enumeration, oracle, classification
 
 def test_enumeration_counts_mirror_symmetry_and_residuals():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     es = enumerate_critical_set(model, z_samples=11)
     labels = es.labels.tolist()
     assert labels.count("N") == 9
@@ -126,7 +124,7 @@ def test_enumeration_counts_mirror_symmetry_and_residuals():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
-    model = clark_model(n=n)
+    model = ClarkModel(n)
     calls = {"value_of": 0, "grad_of": 0}
     for name in calls:
         def counted(coords, _name=name, _real=getattr(model, name)):
@@ -162,7 +160,7 @@ def test_batched_enumeration_matches_per_point_evaluation(monkeypatch, n):
 def test_enumerated_branch_values_are_additive_across_mixed_signs():
     # at t = 1 a positive coordinate j adds -13.5 * 3^(-4j) to the value and
     # a negative one -(1/6) * 3^(-4j), whatever the other coordinates hold
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     es = enumerate_critical_set(model, z_samples=11)
     at_one = {p: i for i, p in enumerate(es.patterns) if es.labels[i] == "N"}
     for pattern, expect, tol in (
@@ -180,7 +178,7 @@ def test_enumerated_branch_values_are_additive_across_mixed_signs():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_every_enumerated_branch_point_classifies_to_its_own_label_and_pattern(n):
-    model = clark_model(n=n)
+    model = ClarkModel(n)
     es = enumerate_critical_set(model, z_samples=5)
     labels, patterns = classify_model_point(model, es.coords, RESIDUAL_TOL)
     # the all-zero pattern at t = +-1 is the segment's endpoint, so it (and
@@ -197,14 +195,14 @@ def test_every_enumerated_branch_point_classifies_to_its_own_label_and_pattern(n
 
 
 def test_enumeration_is_bounded_in_the_truncation_size():
-    big = clark_model(n=models.ENUMERATION_N_MAX + 1)
+    big = ClarkModel(models.ENUMERATION_N_MAX + 1)
     with pytest.raises(InvalidParams, match="enumerated up to"):
         enumerate_critical_set(big, z_samples=3)
     # the oracle builds no table, so it answers exactly above the bound: a
     # branch point of each face is at 0, and a point 1e-3 off one along x_1
     # (a zero coordinate of its pattern) at exactly 1e-3
     for n in (models.ENUMERATION_N_MAX + 1, 40):
-        model = clark_model(n=n)
+        model = ClarkModel(n)
         oracle = CriticalSetOracle(model)
         pos, neg = model.branch_magnitudes(1.0)
         pick = np.arange(n) % 3
@@ -217,7 +215,7 @@ def test_enumeration_is_bounded_in_the_truncation_size():
 
 
 def test_oracle_distance_is_zero_on_members_and_exact_off_the_segment():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     oracle = CriticalSetOracle(model)
     es = enumerate_critical_set(model, z_samples=41)
     coords = es.coords
@@ -234,7 +232,7 @@ def test_oracle_distance_batch_equals_its_single_rows(monkeypatch, block):
     # (here one row, 18 rows with a ragged last block, or one block); the
     # oracle's batch must give the single-row bytes and the table's at every cut
     monkeypatch.setattr(topology, "_DIST_BLOCK", block)
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     oracle = CriticalSetOracle(model)
     rows = np.random.default_rng(5).normal(scale=0.7, size=(37, 4))
     batch = oracle.distance(rows)
@@ -268,7 +266,7 @@ def _oracle_rows(draw, n):
     if kind == "box":
         row = np.array(draw(st.lists(st.floats(-1.6, 1.6), min_size=n + 1, max_size=n + 1)))
     else:
-        pos, neg = clark_model(n=n).branch_magnitudes(1.0)
+        pos, neg = ClarkModel(n).branch_magnitudes(1.0)
         pick = np.array(draw(st.lists(st.sampled_from([1, 0, -1]), min_size=n, max_size=n)))
         side = draw(st.sampled_from([1.0, -1.0]))
         row = side * np.r_[1.0, np.where(pick > 0, pos, 0.0) - np.where(pick < 0, neg, 0.0)] + 0.0
@@ -292,7 +290,7 @@ def _oracle_cases(draw):
 @given(case=_oracle_cases())
 def test_oracle_equals_the_table_reference_byte_for_byte(case):
     n, rows = case
-    model = clark_model(n=n)
+    model = ClarkModel(n)
     oracle = CriticalSetOracle(model)
     expected = _table_oracle_reference(model, rows)
     assert oracle.distance(rows).tobytes() == expected.tobytes()
@@ -336,7 +334,7 @@ def test_segment_distance_is_exact_and_bounds_the_sampled_one(rows):
 
 
 def test_classification_recognizes_all_families():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
 
     def classify(rows):
         return classify_model_point(model, rows, RESIDUAL_TOL)
@@ -389,7 +387,7 @@ def test_batched_classification_equals_the_per_point_one(n, tol, data):
     rows = np.array([[data.draw(_CLASSIFY_T)] + data.draw(st.lists(_CLASSIFY_X, min_size=n,
                                                                    max_size=n))
                      for _ in range(m)]).reshape(m, n + 1)
-    model = clark_model(n=n)
+    model = ClarkModel(n)
     labels, patterns = classify_model_point(model, rows, tol)
     expect = [_classify_one(r, tol) for r in rows]
     assert list(zip(labels, patterns)) == expect
@@ -399,7 +397,7 @@ def test_batched_classification_equals_the_per_point_one(n, tol, data):
 
 
 def test_interior_exclusion_margins_and_flow_crosscheck():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     report = verify_no_interior_negatives(model)
     # tail/cap ratio is 81/160 for every leading index, margin 79/160
     assert report.min_margin == pytest.approx(79.0 / 160.0, abs=1e-12)
@@ -417,7 +415,7 @@ def test_sublinear_gradient_zeros_match_difference_scheme():
     # grad J(u) = u - K^{-1}(h sign(u)|u|^p): vanishing gradient means
     # K u = h sign(u)|u|^p, the central-difference discretization
     grid = H01Grid(30)
-    f = sublinear_energy(grid, p=0.5)
+    f = SublinearEnergy(grid, p=0.5)
     rng = np.random.default_rng(7)
     u = 0.1 + 0.05 * rng.random(30)
     g = f.grad_of(u)
@@ -429,7 +427,7 @@ def test_sublinear_gradient_zeros_match_difference_scheme():
 def test_sublinear_value_closed_form_on_a_sine():
     from scipy.special import gamma
     grid = H01Grid(400)
-    f = sublinear_energy(grid, p=0.5)
+    f = SublinearEnergy(grid, p=0.5)
     x = np.linspace(0.0, 1.0, 402)[1:-1]
     u = np.sin(np.pi * x)
     # 1/2 int u'^2 = pi^2/4 and int_0^1 sin^{3/2}(pi x) dx in gamma terms
@@ -440,9 +438,9 @@ def test_sublinear_value_closed_form_on_a_sine():
 
 def test_sublinear_rejects_bad_exponent():
     with pytest.raises(InvalidParams):
-        sublinear_energy(H01Grid(10), p=1.0)
+        SublinearEnergy(H01Grid(10), p=1.0)
     with pytest.raises(InvalidParams):
-        sublinear_energy(H01Grid(10), p=0.0)
+        SublinearEnergy(H01Grid(10), p=0.0)
 
 
 def test_wrapper_values_inside_on_and_outside_the_seam():
@@ -499,9 +497,9 @@ def test_wrapper_gradient_passes_fd_across_the_seam_region():
 # property tests: evenness of every functional
 
 EVEN_FUNCTIONALS = {
-    "clark_n1": clark_model(n=1),
-    "clark_n3": clark_model(n=3),
-    "sublinear": sublinear_energy(H01Grid(7)),
+    "clark_n1": ClarkModel(1),
+    "clark_n3": ClarkModel(3),
+    "sublinear": SublinearEnergy(H01Grid(7)),
     "wrapper": wrapper_functional(H01Grid(7)),
     "two_cluster": TwoClusterFunctional(),
 }

@@ -10,10 +10,10 @@ from clarklab import cli
 from clarklab.errors import InvalidParams
 from clarklab.functionals import Functional
 from clarklab.models import (
+    ClarkModel,
     CriticalSetOracle,
-    clark_model,
+    SublinearEnergy,
     classify_model_point,
-    sublinear_energy,
     wrapper_functional,
 )
 from clarklab.solvers import (
@@ -39,7 +39,7 @@ from clarklab.spaces import H01Grid, L2Truncation
 
 
 def test_flow_converges_to_the_nearest_branch_point():
-    model = clark_model(n=3)
+    model = ClarkModel(3)
     seed = np.array([0.9, 1.2, 0.0, 0.0])
     row = gradient_flow_solve_batch(model, seed, SolveConfig())[0]
     assert row.stop == "converged"
@@ -50,7 +50,7 @@ def test_flow_converges_to_the_nearest_branch_point():
 
 
 def test_flow_returns_nonconvergence_when_budget_runs_out():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     cfg = SolveConfig(max_flow_time=0.5)
     row = gradient_flow_solve_batch(model, np.array([0.5, 0.2, 0.1]), cfg)[0]
     assert row.stop == "budget"
@@ -84,7 +84,7 @@ def test_flow_reports_a_collapsed_step_as_stalled():
 
 
 def test_batch_rows_match_single_seed_solves():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     rng = np.random.default_rng(11)
     seeds = model_seed_sampler(model, rng, 6)
     cfg = SolveConfig()
@@ -133,7 +133,7 @@ def _full_gradient_reference(f, seeds, cfg):
 
 
 def test_one_block_path_is_the_full_gradient_flow():
-    f = sublinear_energy(H01Grid(8))
+    f = SublinearEnergy(H01Grid(8))
     assert len(f.step_blocks()) == 1
     seeds = ball_seed_sampler(f.space, 1.0, np.random.default_rng(4), 12)
     cfg = SolveConfig(max_flow_time=30.0)
@@ -164,8 +164,8 @@ def test_small_ball_rows_reach_the_quartic_bottom_in_few_steps():
 # blocks and on the one-block path of an H01 functional
 
 SOLVE_CASES = {
-    "blocks": (clark_model(n=2), SolveConfig(), model_seed_sampler),
-    "one_block": (sublinear_energy(H01Grid(6)), SolveConfig(max_flow_time=10.0),
+    "blocks": (ClarkModel(2), SolveConfig(), model_seed_sampler),
+    "one_block": (SublinearEnergy(H01Grid(6)), SolveConfig(max_flow_time=10.0),
                   lambda f, rng, m: ball_seed_sampler(f.space, 1.0, rng, m)),
     "wrapper": (wrapper_functional(H01Grid(6)), SolveConfig(max_flow_time=100.0),
                 lambda f, rng, m: ball_seed_sampler(f.space, 1.5, rng, m)),
@@ -261,8 +261,8 @@ def _scatter_reference(f, seeds, cfg):
 REFERENCE_CASES = {
     "wrapper": (wrapper_functional(H01Grid(4)),
                 lambda f, rng, m: ball_seed_sampler(f.space, 2.0, rng, m)),
-    "model2": (clark_model(n=2), model_seed_sampler),
-    "model3": (clark_model(n=3), model_seed_sampler),
+    "model2": (ClarkModel(2), model_seed_sampler),
+    "model3": (ClarkModel(3), model_seed_sampler),
 }
 
 
@@ -340,7 +340,7 @@ def test_no_terminal_energy_rises_above_its_seed(name, seed):
 def test_stationary_segment_seeds_take_finite_steps(t):
     # on x = 0 the t-gradient vanishes inside [-1, 1] and is the clamp
     # penalty's outside; the uncapped t-step must stay finite either way
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     seeds = np.zeros((len(t), 3))
     seeds[:, 0] = t
     for row in gradient_flow_solve_batch(model, seeds, SolveConfig()):
@@ -366,15 +366,15 @@ def test_longer_budgets_extend_the_same_monotone_flow(name):
     assert rows[-1].steps > rows[0].steps and rows[-1].value < rows[0].value
 
 
-@pytest.mark.parametrize("f", [clark_model(n=2), wrapper_functional(H01Grid(4))],
+@pytest.mark.parametrize("f", [ClarkModel(2), wrapper_functional(H01Grid(4))],
                          ids=["model", "wrapper"])
 def test_an_empty_batch_gives_no_rows(f):
     assert gradient_flow_solve_batch(f, np.empty((0, f.space.dim)), SolveConfig()) == []
 
 
 @pytest.mark.parametrize("f, sampler", [
-    (clark_model(n=2), lambda f, rng: model_seed_sampler(f, rng, 2)),
-    (sublinear_energy(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.0, rng, 2)),
+    (ClarkModel(2), lambda f, rng: model_seed_sampler(f, rng, 2)),
+    (SublinearEnergy(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.0, rng, 2)),
     (wrapper_functional(H01Grid(6)), lambda f, rng: ball_seed_sampler(f.space, 1.5, rng, 2)),
 ], ids=["model", "sublinear", "wrapper"])
 def test_a_nan_seed_stalls_at_once_and_leaves_its_batch_mate_alone(f, sampler):
@@ -400,7 +400,7 @@ def test_invalid_config_rejected():
 
 def test_model_seed_sampler_shape_range_and_sparsity():
     rng = np.random.default_rng(0)
-    seeds = model_seed_sampler(clark_model(n=3), rng, 600)
+    seeds = model_seed_sampler(ClarkModel(3), rng, 600)
     assert seeds.shape == (600, 4)
     assert np.max(np.abs(seeds[:, 0])) < 1.0
     box = 18.0 * 3.0 ** (-2 * np.arange(1, 4))
@@ -426,9 +426,9 @@ def test_ball_seed_sampler_stays_in_the_ball():
 # accumulation scan
 
 def test_scan_keeps_only_window_terminals_with_edge_labels():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     oracle = CriticalSetOracle(model)
-    report = accumulation_scan(model, (-2.0, -1e-9), 80, 5)
+    report = accumulation_scan(model, (-2.0, -1e-9), 80, 5, SolveConfig(), 1)
     assert report.n_converged == 80
     m = len(report.values)
     assert m > 0
@@ -452,8 +452,8 @@ def test_scan_keeps_only_window_terminals_with_edge_labels():
 
 
 def test_an_empty_window_gives_an_empty_report():
-    model = clark_model(n=2)
-    report = accumulation_scan(model, (-1e-300, -1e-301), 20, 1)
+    model = ClarkModel(2)
+    report = accumulation_scan(model, (-1e-300, -1e-301), 20, 1, SolveConfig(), 1)
     assert report.n_converged > 0
     assert report.coords.shape == (0, 3)
     for column in (report.values, report.residuals, report.dist_to_k0):
@@ -464,30 +464,30 @@ def test_an_empty_window_gives_an_empty_report():
 @settings(max_examples=10, deadline=None)
 @given(seed=rng_seeds)
 def test_scan_is_deterministic_for_a_fixed_seed(seed):
-    model = clark_model(n=2)
-    a = accumulation_scan(model, (-1.0, -1e-12), 30, seed)
-    b = accumulation_scan(model, (-1.0, -1e-12), 30, seed)
+    model = ClarkModel(2)
+    a = accumulation_scan(model, (-1.0, -1e-12), 30, seed, SolveConfig(), 1)
+    b = accumulation_scan(model, (-1.0, -1e-12), 30, seed, SolveConfig(), 1)
     assert a.n_converged == b.n_converged
     assert np.array_equal(a.coords, b.coords)
     assert np.array_equal(a.values, b.values)
 
 
 def test_scan_threads_produce_the_same_report():
-    model = clark_model(n=2)
-    a = accumulation_scan(model, (-1.0, -1e-12), 40, 2)
-    b = accumulation_scan(model, (-1.0, -1e-12), 40, 2, threads=4)
+    model = ClarkModel(2)
+    a = accumulation_scan(model, (-1.0, -1e-12), 40, 2, SolveConfig(), 1)
+    b = accumulation_scan(model, (-1.0, -1e-12), 40, 2, SolveConfig(), threads=4)
     assert a.coords.shape == b.coords.shape
     assert np.allclose(a.coords, b.coords, atol=0.0)
 
 
 def test_scan_rejects_bad_windows():
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, (-1.0, 0.5), 10, 0)
+        accumulation_scan(model, (-1.0, 0.5), 10, 0, SolveConfig(), 1)
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, (-1e-9, -1.0), 10, 0)
+        accumulation_scan(model, (-1e-9, -1.0), 10, 0, SolveConfig(), 1)
     with pytest.raises(InvalidParams):
-        accumulation_scan(model, (-1.0, -1e-9), 0, 0)
+        accumulation_scan(model, (-1.0, -1e-9), 0, 0, SolveConfig(), 1)
 
 
 def test_scan_csv_written_with_header(tmp_path):
@@ -498,6 +498,6 @@ def test_scan_csv_written_with_header(tmp_path):
     assert lines[0] == "value,residual,t,dist_to_K0,label,pattern,x1,x2"
     assert len(lines) == 1 + sum(counts.values()) > 1
     # repr round-trip keeps float values exact
-    report = accumulation_scan(clark_model(n=2), (-1.0, -1e-12), 25, 3)
+    report = accumulation_scan(ClarkModel(2), (-1.0, -1e-12), 25, 3, SolveConfig(), 1)
     first = lines[1].split(",")
     assert float(first[0]) == report.values[0]

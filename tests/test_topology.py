@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clarklab import topology
 from clarklab.errors import InvalidParams, OriginMissing
-from clarklab.models import clark_model, enumerate_critical_set
+from clarklab.models import ClarkModel, enumerate_critical_set
 from clarklab.topology import (
     QUERY_BLOCK,
     Cloud,
@@ -210,7 +210,7 @@ def test_model_cloud_stabilizes_to_the_segment_points():
     # branch coordinates sit at least 3^(-2n) = 1/81 off the axis, so any
     # scale below that (but above the segment sample spacing 5e-4) keeps
     # exactly the axis points in the origin component
-    model = clark_model(n=2)
+    model = ClarkModel(2)
     es = enumerate_critical_set(model, z_samples=4001)
     cloud = Cloud(es.coords)
     report = origin_component_stabilization(cloud, (0.02, 0.005, 8e-4, 6e-4))
@@ -226,7 +226,7 @@ def test_model_cloud_stabilizes_to_the_segment_points():
 
 def test_model_cloud_stabilization_runs_in_bounded_memory():
     # listing every pair at delta = 0.02 on this cloud takes about 500 MB
-    cloud = Cloud(enumerate_critical_set(clark_model(n=2), z_samples=20001).coords)
+    cloud = Cloud(enumerate_critical_set(ClarkModel(2), z_samples=20001).coords)
     tracemalloc.start()
     try:
         report = origin_component_stabilization(cloud, (0.02, 0.005, 2e-4, 1e-4))
