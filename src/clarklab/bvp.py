@@ -159,10 +159,10 @@ def nodal_family(p: float, kmax: int, grid: H01Grid) -> list:
     return [_assemble(p, k, prof, grid) for k in range(1, kmax + 1)]
 
 
-def reshoot_values(member: NodalSolution, grid: H01Grid) -> np.ndarray:
+def reshoot_values(member: NodalSolution) -> np.ndarray:
     """Cross-check: integrate the ODE directly from the member's initial
-    slope over all of [0,1] (no rescaling afterwards) and sample the grid
-    abscissae.  Scaling exactness means this should match the compressed
+    slope over all of [0,1] (no rescaling afterwards) and sample the
+    member's interior abscissae.  Scaling exactness means this should match the compressed
     construction to integrator accuracy."""
     _, sol = shoot(member.p, member.slope, 1.0)
-    return sol(grid.grid)[0]
+    return sol(member.abscissae[1:-1])[0]

@@ -337,7 +337,7 @@ def _run_bvp(ns, out: Path):
     slope = float(np.polyfit(np.log(ks), np.log([s.energy_norm_sq for s in family]), 1)[0])
     expected = energy_scaling_exponent(ns.p)
 
-    re2 = reshoot_values(family[1], grid)
+    re2 = reshoot_values(family[1])
     reshoot_dev = float(np.max(np.abs(re2 - family[1].values_full[1:-1])))
 
     ratio = (1.0 - ns.p) / (2.0 * (ns.p + 1.0))

@@ -339,9 +339,9 @@ class WrapperFunctional(Functional):
     the chain rule from the Riesz gradient of J.
     """
 
-    def __init__(self, grid: H01Grid, p: float):
+    def __init__(self, grid: H01Grid):
         self.space = grid
-        self.inner_energy = SublinearEnergy(grid, p=p)
+        self.inner_energy = SublinearEnergy(grid)
 
     def value_of(self, coords):
         return self._evaluate(coords, value=True, grad=False)[0]
@@ -393,6 +393,6 @@ class WrapperFunctional(Functional):
         return ((slice(None), False),)
 
 
-def wrapper_functional(grid: H01Grid, p: float = 0.5) -> WrapperFunctional:
-    """The wrapper on ``grid``, at p = 1/2 unless p is given."""
-    return WrapperFunctional(grid, p)
+def wrapper_functional(grid: H01Grid) -> WrapperFunctional:
+    """The wrapper on ``grid``: the name the benchmark builds it by."""
+    return WrapperFunctional(grid)

@@ -225,7 +225,7 @@ def test_criterion_09_nodal_family_laws_on_the_grid():
                              np.log([s.energy_norm_sq for s in family]), 1)[0])
     j_dev = max(abs(s.j_value + s.energy_norm_sq / 6.0) / abs(s.j_value)
                 for s in family)
-    re_dev = float(np.max(np.abs(reshoot_values(family[1], grid)
+    re_dev = float(np.max(np.abs(reshoot_values(family[1])
                                  - family[1].values_full[1:-1])))
 
     ok = (nehari < 1e-6 and abs(slope + 6.0) <= 0.01

@@ -133,7 +133,7 @@ def test_nodal_family_scales_and_alternates():
 def test_reshot_solution_matches_the_rescaled_one():
     grid = H01Grid(1000)
     sol2 = nodal_family(0.5, 2, grid)[1]
-    re2 = reshoot_values(sol2, grid)
+    re2 = reshoot_values(sol2)
     assert np.max(np.abs(re2 - sol2.values_full[1:-1])) < 1e-5
 
 
@@ -145,7 +145,7 @@ def test_a_family_and_its_reshot_make_two_ode_shots(monkeypatch):
     monkeypatch.setattr(bvp, "solve_ivp", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     grid = H01Grid(200)
     family = nodal_family(0.5, 3, grid)
-    reshoot_values(family[1], grid)
+    reshoot_values(family[1])
     assert len(calls) == 2
 
 
@@ -159,7 +159,7 @@ def test_the_reshot_keeps_the_bits_of_a_shot_from_the_base_profile(p):
         slope = float(member.k) ** ((p + 1.0) / (p - 1.0)) * (prof.alpha * prof.t1)
         assert member.slope == slope
         _, sol = shoot(p, slope, 1.0)
-        assert np.array_equal(reshoot_values(member, grid), sol(grid.grid)[0])
+        assert np.array_equal(reshoot_values(member), sol(grid.grid)[0])
 
 
 def test_nodal_solution_validates_inputs():

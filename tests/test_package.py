@@ -153,7 +153,7 @@ def test_settable_values_do_not_grow():
     # for; the ceiling is the count the package has reached, and only falls
     total = sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
                 for path in sorted(SRC.glob("*.py")))
-    assert total <= 6
+    assert total <= 5
 
 
 def _defaults(tree):
@@ -188,22 +188,42 @@ def _omits(call, position, name):
             and name not in {k.arg for k in call.keywords})
 
 
-def test_every_default_is_omitted_outside_unit_tests():
-    # a default earns its place when code that runs relies on it: some call
-    # in the package, the benchmark or the acceptance criteria names the
-    # callee and leaves that argument out; otherwise the value is required
+def _calls(paths):
+    """Callee name -> every call in ``paths`` that spells the callee so."""
     calls = {}
-    for path in [*sorted(SRC.glob("*.py")), *CALLERS]:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unused = [f"{path.stem}: {callee}({name})"
-              for path in sorted(SRC.glob("*.py"))
-              for callee, position, name in _defaults(ast.parse(path.read_text(encoding="utf-8")))
-              if not any(_omits(c, position, name) for c in calls.get(callee, []))]
+    return calls
+
+
+def _defaults_where(calls, keep):
+    """'module: callee(name)' for every default under the package for which
+    ``keep(omits)`` holds, ``omits`` being whether each call leaves it out."""
+    return [f"{path.stem}: {callee}({name})"
+            for path in sorted(SRC.glob("*.py"))
+            for callee, position, name in _defaults(ast.parse(path.read_text(encoding="utf-8")))
+            if keep([_omits(c, position, name) for c in calls.get(callee, [])])]
+
+
+def test_every_default_is_omitted_outside_unit_tests():
+    # a default earns its place when code that runs relies on it: some call
+    # in the package, the benchmark or the acceptance criteria names the
+    # callee and leaves that argument out; otherwise the value is required
+    unused = _defaults_where(_calls([*sorted(SRC.glob("*.py")), *CALLERS]),
+                             lambda omits: not any(omits))
     assert not unused, "every caller sets: " + ", ".join(unused)
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default that no call anywhere, unit tests included, ever sets is a
+    # constant dressed as a parameter: it belongs in the body
+    fixed = _defaults_where(_calls([*sorted(SRC.glob("*.py")), *CALLERS,
+                                    *sorted((ROOT / "tests").glob("test_*.py"))]), all)
+    assert not fixed, "no caller sets: " + ", ".join(fixed)
 
 
 def test_only_the_cli_shapes_json():
