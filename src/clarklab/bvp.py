@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from .errors import InvalidParams, NoCrossing
 from .spaces import H01Grid
@@ -58,6 +57,8 @@ def shoot(p: float, slope: float, t_max: float):
         raise InvalidParams("slope must be nonzero")
     if t_max <= 0.0:
         raise InvalidParams("t_max must be positive")
+
+    from scipy.integrate import solve_ivp
 
     def crossing(t, y, p):  # solve_ivp hands `args` to the events as well
         return y[0]
@@ -113,6 +114,8 @@ class NodalSolution:
 
 
 def _assemble(p: float, k: int, prof: BaseProfile, grid: H01Grid) -> NodalSolution:
+    from scipy.integrate import simpson
+
     x = np.concatenate([[0.0], grid.grid, [1.0]])
     s = k * x
     seg = np.minimum(np.floor(s).astype(int), k - 1)

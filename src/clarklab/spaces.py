@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .errors import DimensionError, InvalidParams, InvalidPoint
 
@@ -74,6 +73,8 @@ class H01Grid:
     @cached_property
     def _chol(self):
         # banded Cholesky factor of the stiffness matrix (1/h) tridiag(-1,2,-1)
+        from scipy.linalg import cholesky_banded
+
         h = self.mesh_width
         ab = np.zeros((2, self.nodes))
         ab[0, 1:] = -1.0 / h
@@ -83,6 +84,8 @@ class H01Grid:
     @cached_property
     def _pbtrs(self):
         # LAPACK's banded Cholesky solve for the factor's dtype
+        from scipy.linalg import get_lapack_funcs
+
         return get_lapack_funcs(("pbtrs",), (self._chol,))[0]
 
     @staticmethod
@@ -130,6 +133,8 @@ class H01Grid:
             return rhs
         out, info = self._pbtrs(self._chol, flat.T, lower=False)
         if info:
+            from scipy.linalg import LinAlgError
+
             raise LinAlgError(f"banded Cholesky solve failed: pbtrs info {info}")
         return np.ascontiguousarray(out.T).reshape(rhs.shape)
 

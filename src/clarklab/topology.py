@@ -22,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidParams, OriginMissing
 
@@ -41,6 +37,8 @@ def nearest_distances(rows, points):
     """Euclidean distance from each row to its nearest point, one row block
     at a time.  Each distance is computed on its own, so a row's result does
     not depend on the block it falls in."""
+    from scipy.spatial.distance import cdist
+
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not len(points):
@@ -68,6 +66,8 @@ class Cloud:
             raise InvalidParams("cloud coordinates must be finite")
         self.coords = c
         if self.symmetric and len(c):
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(c)
             dists, _ = tree.query(-c, k=1)
             if np.max(dists) > SYMMETRY_TOL:
@@ -95,6 +95,10 @@ def _labels_down(cloud: Cloud, schedule) -> list:
     labels = np.arange(m)
     if m < 2:
         return [labels] * len(schedule)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as _graph_components
+    from scipy.spatial import cKDTree
+
     coords = cloud.coords
     tree = cKDTree(coords)
     out = []

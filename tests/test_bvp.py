@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import beta as beta_fn
 
 from clarklab import bvp
@@ -141,8 +142,9 @@ def test_a_family_and_its_reshot_make_two_ode_shots(monkeypatch):
     # the base arch is shot once per family; the re-shot starts from the
     # member's own slope instead of shooting the base arch again
     calls = []
-    real = bvp.solve_ivp
-    monkeypatch.setattr(bvp, "solve_ivp", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = scipy.integrate.solve_ivp
+    monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
     grid = H01Grid(200)
     family = nodal_family(0.5, 3, grid)
     reshoot_values(family[1])

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +15,25 @@ from clarklab.solvers import SolveConfig, accumulation_scan
 
 
 def run_cli(*args):
+    """One CLI run in this interpreter, with its exit code and its captured
+    standard output and error; an uncaught exception fails the test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_module(*args):
+    """One CLI run through ``python -m clarklab`` in a fresh interpreter,
+    which imports the package this one does."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "clarklab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def read_json(path):
@@ -29,7 +50,7 @@ def read_csv(path):
 # argument handling
 
 def test_no_arguments_is_a_usage_error():
-    proc = run_cli()
+    proc = run_module()
     assert proc.returncode == 1
     assert "usage" in proc.stderr
 
@@ -333,8 +354,8 @@ def test_psdiag_reports_a_convergent_subsequence(tmp_path):
 
 def test_failed_checks_exit_two_and_mark_the_manifest(tmp_path):
     out = tmp_path / "out"
-    proc = run_cli("scan", "--n", "2", "--seeds", "25",
-                   "--oracle-tol", "1e-30", "--out", str(out))
+    proc = run_module("scan", "--n", "2", "--seeds", "25",
+                      "--oracle-tol", "1e-30", "--out", str(out))
     assert proc.returncode == 2
     assert "checks failed" in proc.stderr
     manifest = read_json(out / "manifest.json")
@@ -395,8 +416,11 @@ def test_out_of_memory_exits_one_with_a_clean_line(tmp_path, monkeypatch, capsys
 ], ids=["scan", "deform", "psdiag", "enumerate", "stabilize", "minimax"])
 def test_same_seed_runs_are_byte_identical(tmp_path, args, data_file):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    # scan's pair runs in two fresh interpreters, so no state that one
+    # process carries from run to run can make the pair agree
+    run = run_module if args[0] == "scan" else run_cli
     for out in (out1, out2):
-        proc = run_cli(*args, "--out", str(out))
+        proc = run(*args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     # both JSON files are one line of compact JSON with sorted keys

@@ -1,7 +1,10 @@
 """Rules over the package source as a whole."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +121,31 @@ def test_models_imports_nothing_from_solvers():
     # checks that run flows on the coordinate model live in solvers
     assert _imports("solvers", "models")
     assert not _imports("models", "solvers")
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    # the coordinate model's experiments run on numpy alone: importing every
+    # module loads no scipy, and neither do scan, enumerate and minimax; the
+    # Riesz solve, topology and the BVP load it on first use
+    script = f"""
+import sys
+from clarklab import (spaces, functionals, models, solvers, deformation, topology,
+                      minimax, bvp, cli)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not loaded(), loaded()
+for argv in (["scan", "--n", "2"], ["enumerate", "--n", "2"],
+             ["minimax", "--n", "2", "--jmax", "2"]):
+    assert cli.main([*argv, "--out", {str(tmp_path)!r} + "/" + argv[0]]) == 0
+    assert not loaded(), (argv[0], loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_package_root_binds_only_its_version():
