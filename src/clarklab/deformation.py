@@ -37,7 +37,7 @@ from .errors import (
     SetupInconsistent,
 )
 from .functionals import Functional
-from .spaces import L2Truncation, Point
+from .spaces import L2Truncation, Point, row_sum
 from .topology import Cloud, nearest_distances
 
 
@@ -67,12 +67,12 @@ class TwoClusterFunctional(Functional):
 
     def value_of(self, coords):
         c = np.asarray(coords, dtype=float)
-        s = np.sum(c * c, axis=-1)
+        s = row_sum(c * c)
         return self._w(s)
 
     def grad_of(self, coords):
         c = np.asarray(coords, dtype=float)
-        s = np.sum(c * c, axis=-1)
+        s = row_sum(c * c)
         return 2.0 * self._dw(s)[..., None] * c
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .functionals import Functional
-from .spaces import H01Grid, L2Truncation
+from .spaces import H01Grid, L2Truncation, row_sum
 
 LABEL_Z = "Z"
 LABEL_N = "N"
@@ -119,16 +119,16 @@ class ClarkModel(Functional):
         xn15 = xn ** 1.5
         v = g = None
         if value:
-            sp = np.sum(self.weights * xp15, axis=-1)
-            sn = np.sum(self.weights * xn15, axis=-1)
-            quad = 0.5 * np.sum(x * x, axis=-1)
+            sp = row_sum(self.weights * xp15)
+            sn = row_sum(self.weights * xn15)
+            quad = 0.5 * row_sum(x * x)
             v = quad - (2.0 / 3.0) * ((2.0 + mu) * sp + (2.0 - mu) * sn) + phi
         if grad:
             g = np.empty_like(coords)
             g[..., 1:] = x - self.weights * (
                 (2.0 + mu)[..., None] * np.sqrt(xp) - (2.0 - mu)[..., None] * np.sqrt(xn)
             )
-            g[..., 0] = -(2.0 / 3.0) * dmu * np.sum(self.weights * (xp15 - xn15), axis=-1) + dphi
+            g[..., 0] = -(2.0 / 3.0) * dmu * row_sum(self.weights * (xp15 - xn15)) + dphi
         return v, g
 
     def step_blocks(self):

@@ -20,7 +20,11 @@ A functional may split its coordinates into blocks (``step_blocks``).
 Each block of each row then keeps its own Armijo step and its own flow
 time, and the blocks are updated in alternating sweeps: block coordinate
 descent (Tseng, JOTA 2001) under the same acceptance test, measured with
-the Euclidean norm of the block's gradient.  The coordinate model uses
+the Euclidean norm of the block's gradient (``spaces.row_sum`` of its
+squares).  Each block's steps and flow times are 1-D arrays of their own,
+over the running rows, so an iteration reads and writes whole arrays, a
+row's flow time is ``np.minimum`` over its blocks, and an uncapped block's
+step grows without a ``np.minimum`` against a cap.  The coordinate model uses
 this to let the parameter t drift on its tiny gradient with a step the
 stiff x-modes would otherwise cap.  With one block (every H01 functional)
 the iteration is the plain full-gradient flow in the space norm; the
@@ -47,6 +51,7 @@ import numpy as np
 from .errors import InvalidParams
 from .functionals import Functional
 from .models import ClarkModel, classify_model_point, segment_distance
+from .spaces import row_sum
 
 # the gradient residual (space norm) at or below which a row has converged
 RESIDUAL_TOL = 1e-8
@@ -123,9 +128,10 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     rows = np.arange(len(u))
     blocks = f.step_blocks()
     nb = len(blocks)
-    caps = [_STEP_CAP if capped else np.inf for _, capped in blocks]
-    h = np.full((len(u), nb), _INITIAL_STEP)
-    tau = np.zeros((len(u), nb))
+    # per block: its step cap (None when uncapped), its steps and flow times
+    caps = [_STEP_CAP if capped else None for _, capped in blocks]
+    steps = [np.full(len(u), _INITIAL_STEP) for _ in blocks]
+    taus = [np.zeros(len(u)) for _ in blocks]
     energy, grad = f.value_and_grad(u)
     res = space.norm(grad)
     done = ~(res > RESIDUAL_TOL)
@@ -133,7 +139,7 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
     k = 0
     while True:
         if done.any():
-            flow_time = tau.min(axis=1)
+            flow_time = _flow_time(taus)
             for i in np.flatnonzero(done):
                 if res[i] <= RESIDUAL_TOL:
                     stop = STOP_CONVERGED
@@ -145,14 +151,15 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
                     coords=u[i].copy(), value=float(energy[i]), residual=float(res[i]),
                     flow_time=float(flow_time[i]), steps=k, stop=stop)
             live = ~done
-            u, h, tau, energy, grad, res, rows = (
-                a[live] for a in (u, h, tau, energy, grad, res, rows))
+            u, energy, grad, res, rows = (a[live] for a in (u, energy, grad, res, rows))
+            steps = [a[live] for a in steps]
+            taus = [a[live] for a in taus]
         # checked before evaluating: an empty batch must not step
         if not rows.size:
             return results
 
         b = k % nb
-        hb = h[:, b]
+        hb = steps[b]
         if nb == 1:
             prop = u - hb[:, None] * grad
             gnorm2 = res * res
@@ -161,7 +168,7 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
             gb = grad[:, sl]
             prop = u.copy()
             prop[:, sl] -= hb[:, None] * gb
-            gnorm2 = np.add.reduce(gb * gb, axis=1)
+            gnorm2 = row_sum(gb * gb)
         e_prop, g_prop = f.value_and_grad(prop)
         slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy))
         accept = e_prop <= energy - _ARMIJO * hb * gnorm2 + slack
@@ -172,15 +179,23 @@ def gradient_flow_solve_batch(f: Functional, seeds, cfg: SolveConfig) -> list:
         grad = np.where(rowwise, g_prop, grad)
         res = np.where(accept, space.norm(g_prop), res)
         # flow times are >= +0, so adding 0.0 leaves a rejected row's bits
-        tau[:, b] += np.where(accept, hb, 0.0)
+        taus[b] += np.where(accept, hb, 0.0)
         # a block whose gradient vanishes exactly (the model's t at the
         # clamp corners) keeps its step, so an uncapped step stays finite
-        h[:, b] = np.where(accept, np.where(gnorm2 > 0.0, np.minimum(hb * _GROW, caps[b]), hb),
-                           hb * _SHRINK)
+        grown = hb * _GROW if caps[b] is None else np.minimum(hb * _GROW, caps[b])
+        steps[b] = np.where(accept, np.where(gnorm2 > 0.0, grown, hb), hb * _SHRINK)
         k += 1
 
-        done = ((res <= RESIDUAL_TOL) | (tau.min(axis=1) >= cfg.max_flow_time)
-                | (h[:, b] < _MIN_STEP))
+        done = ((res <= RESIDUAL_TOL) | (_flow_time(taus) >= cfg.max_flow_time)
+                | (steps[b] < _MIN_STEP))
+
+
+def _flow_time(taus):
+    """A row's flow time: the smallest of its blocks' flow times."""
+    flow_time = taus[0]
+    for tau in taus[1:]:
+        flow_time = np.minimum(flow_time, tau)
+    return flow_time
 
 
 # ---------------------------------------------------------------------------

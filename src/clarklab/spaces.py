@@ -11,6 +11,7 @@ Two space tags are supported:
   gradients of functionals are Riesz representatives with respect to it.
 
 All vector operations accept batches: arrays of shape (..., dim).
+``row_sum`` is the kernel for sums over a short last axis.
 """
 
 from __future__ import annotations
@@ -23,15 +24,45 @@ import numpy as np
 from .errors import DimensionError, InvalidParams, InvalidPoint
 
 
+# numpy sums a last axis of fewer than 8 entries left to right from +0.0;
+# from 8 on it sums in pairwise blocks of 8
+_ROW_SUM_COLUMNS_MAX = 7
+
+
+def row_sum(a):
+    """np.add.reduce(a, axis=-1), bit for bit, for any array a.
+
+    numpy reduces a short last axis row by row, at a cost per row.  For a
+    C-contiguous float64 batch of two or more rows of width 1 to 7, this
+    adds whole columns instead, left to right from +0.0: numpy's operations
+    in numpy's order.  Starting from 0.0 + column 0 rather than column 0
+    keeps numpy's +0.0 for a row of -0.0.  The columns of such a batch are
+    strided and at least two long; numpy's add keeps the first operand's
+    NaN there, as its reduction does, but not in its one-element and
+    contiguous loops.  Anything else goes to np.add.reduce.
+    """
+    a = np.asarray(a)
+    width = a.shape[-1]
+    if (a.dtype != np.float64 or not 0 < width <= _ROW_SUM_COLUMNS_MAX
+            or a.size < 2 * width or not a.flags.c_contiguous):
+        return np.add.reduce(a, axis=-1)
+    s = a[..., 0] + 0.0
+    for j in range(1, width):
+        s += a[..., j]
+    return s
+
+
 @dataclass(frozen=True)
 class L2Truncation:
     dim: int
 
     def inner(self, u, v):
-        return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
+        return row_sum(np.asarray(u) * np.asarray(v))
 
     def norm(self, u):
-        return np.linalg.norm(np.asarray(u), axis=-1)
+        # np.linalg.norm(u, axis=-1) of a float u: the sqrt of the sum of u * u
+        u = np.asarray(u, dtype=float)
+        return np.sqrt(row_sum(u * u))
 
     def to_dual(self, g):
         """Euclidean partial derivatives of a functional with gradient g."""

@@ -499,6 +499,8 @@ def test_wrapper_gradient_passes_fd_across_the_seam_region():
 EVEN_FUNCTIONALS = {
     "clark_n1": ClarkModel(1),
     "clark_n3": ClarkModel(3),
+    # x-width 8: its sums take np.add.reduce, not row_sum's column pass
+    "clark_n8": ClarkModel(8),
     "sublinear": SublinearEnergy(H01Grid(7)),
     "wrapper": wrapper_functional(H01Grid(7)),
     "two_cluster": TwoClusterFunctional(),

@@ -147,6 +147,90 @@ def test_one_block_path_is_the_full_gradient_flow():
         assert row.steps == steps[i]
 
 
+def _two_block_reference(f, seeds, cfg):
+    """The lockstep loop with each row's block steps and flow times held as
+    the columns of (m, nb) arrays, written out on its own: a row's flow time
+    is tau.min(axis=1) and a block's squared gradient norm np.add.reduce.
+    The batch solver's per-block 1-D arrays must reproduce it bit for bit."""
+    space = f.space
+    u = np.array(seeds, dtype=float)
+    results = [None] * len(u)
+    rows = np.arange(len(u))
+    blocks = f.step_blocks()
+    nb = len(blocks)
+    caps = [_STEP_CAP if capped else np.inf for _, capped in blocks]
+    h = np.full((len(u), nb), _INITIAL_STEP)
+    tau = np.zeros((len(u), nb))
+    energy, grad = f.value_and_grad(u)
+    res = space.norm(grad)
+    done = ~(res > RESIDUAL_TOL)
+
+    k = 0
+    while True:
+        if done.any():
+            flow_time = tau.min(axis=1)
+            for i in np.flatnonzero(done):
+                if res[i] <= RESIDUAL_TOL:
+                    stop = STOP_CONVERGED
+                elif flow_time[i] >= cfg.max_flow_time:
+                    stop = STOP_BUDGET
+                else:
+                    stop = STOP_STALLED
+                results[rows[i]] = _RowResult(
+                    coords=u[i].copy(), value=float(energy[i]), residual=float(res[i]),
+                    flow_time=float(flow_time[i]), steps=k, stop=stop)
+            live = ~done
+            u, h, tau, energy, grad, res, rows = (
+                a[live] for a in (u, h, tau, energy, grad, res, rows))
+        if not rows.size:
+            return results
+
+        b = k % nb
+        hb = h[:, b]
+        sl = blocks[b][0]
+        gb = grad[:, sl]
+        prop = u.copy()
+        prop[:, sl] -= hb[:, None] * gb
+        gnorm2 = np.add.reduce(gb * gb, axis=1)
+        e_prop, g_prop = f.value_and_grad(prop)
+        slack = _ENERGY_NOISE * np.maximum(1.0, np.abs(energy))
+        accept = e_prop <= energy - _ARMIJO * hb * gnorm2 + slack
+
+        rowwise = accept[:, None]
+        u = np.where(rowwise, prop, u)
+        energy = np.where(accept, e_prop, energy)
+        grad = np.where(rowwise, g_prop, grad)
+        res = np.where(accept, space.norm(g_prop), res)
+        tau[:, b] += np.where(accept, hb, 0.0)
+        h[:, b] = np.where(accept, np.where(gnorm2 > 0.0, np.minimum(hb * _GROW, caps[b]), hb),
+                           hb * _SHRINK)
+        k += 1
+
+        done = ((res <= RESIDUAL_TOL) | (tau.min(axis=1) >= cfg.max_flow_time)
+                | (h[:, b] < _MIN_STEP))
+
+
+# n = 3 sums its x-block by row_sum's column pass; n = 8 has x-width 8,
+# which row_sum hands to np.add.reduce
+@pytest.mark.parametrize("n", [3, 8])
+def test_two_block_path_is_the_column_array_loop(n):
+    model = ClarkModel(n)
+    assert len(model.step_blocks()) == 2
+    seeds = model_seed_sampler(model, np.random.default_rng(n), 24)
+    # a NaN seed never runs and ends stalled
+    seeds[5, -1] = np.nan
+    cfg = SolveConfig(max_flow_time=100.0)
+    with np.errstate(invalid="ignore"):
+        rows = gradient_flow_solve_batch(model, seeds, cfg)
+        expected = _two_block_reference(model, seeds, cfg)
+    assert {r.stop for r in rows} == {STOP_CONVERGED, STOP_BUDGET, STOP_STALLED}
+    for a, b in zip(rows, expected, strict=True):
+        for field in fields(_RowResult):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert type(x) is type(y)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+
+
 def test_small_ball_rows_reach_the_quartic_bottom_in_few_steps():
     # the wrapper's origin is a degenerate minimum, I ~ 2 pi^2 ||u||^4, so
     # only an uncapped step reaches it fast; at the cap 3.8 every row here

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_solve_banded
 
 from clarklab.errors import DimensionError, InvalidParams, InvalidPoint
-from clarklab.spaces import H01Grid, L2Truncation, Point, check_coords
+from clarklab.spaces import H01Grid, L2Truncation, Point, check_coords, row_sum
 
 
 def test_l2_inner_norm_dual_are_euclidean():
@@ -24,6 +24,39 @@ def test_l2_norm_and_inner_operate_rowwise_on_batches():
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert np.allclose(s.norm(u), [5.0, 1.0])
     assert np.allclose(s.inner(u, v), [3.0, 0.0])
+
+
+# entries with every special value, and magnitudes far apart, so that the
+# order of the additions shows in the bits
+ROW_SUM_ENTRIES = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+                   | st.floats(allow_nan=True, allow_infinity=True)
+                   | st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.sampled_from([0, 1]) | st.integers(0, 64), width=st.integers(0, 20),
+       data=st.data())
+@example(batch=2, width=3, data=None)
+@example(batch=3, width=8, data=None)
+def test_row_sum_is_np_add_reduce_bit_for_bit(batch, width, data):
+    # numpy sums widths up to 7 left to right and from 8 on in pairwise
+    # blocks, so both sides of 8 must give numpy's bits.  The examples
+    # (data=None) sum rows of -0.0, which numpy sums to +0.0, and a NaN
+    if data is None:
+        a = np.full((batch, width), -0.0)
+        a[-1, -1] = np.nan
+    else:
+        a = data.draw(hnp.arrays(np.float64, (batch, width), elements=ROW_SUM_ENTRIES))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = row_sum(a), np.add.reduce(a, axis=-1)
+        assert got.shape == want.shape == (batch,) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # a row's sum does not depend on the other rows of its batch
+        for i, row in enumerate(a):
+            alone = row_sum(row)
+            assert np.ndim(alone) == 0
+            assert np.asarray(alone).tobytes() == got[i].tobytes()
+            assert row_sum(a[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
 
 
 def test_h01_mesh_width_and_trapezoid_use_zero_boundary():
