@@ -335,8 +335,10 @@ class WrapperFunctional(Functional):
 
     I(u) = 1 - cos(2 pi ||u||^2) on the unit ball and J((||u||^2 - 1) u)
     outside; value and gradient match on the seam, so I is C1.  Inside the
-    ball the gradient is 4 pi sin(2 pi ||u||^2) u; outside it follows by
-    the chain rule from the Riesz gradient of J.
+    ball the gradient is 4 pi sin(2 pi s) u, s = ||u||^2; outside it is
+    (s - 1) grad J(w) + 2 <grad J(w), u>_H u at w = (s - 1) u, read from s and
+    r = |w|^p: ||w||^2 = (s - 1)^2 s, and as <A^(-1)(h f), u>_H = h f.u,
+    <grad J(w), u>_H = (s - 1) s - h sum(sign(w) r u).
     """
 
     def __init__(self, grid: H01Grid):
@@ -353,26 +355,32 @@ class WrapperFunctional(Functional):
         return self._evaluate(coords, value=True, grad=True)
 
     def _evaluate(self, coords, value, grad):
-        """(value, gradient), each None unless asked for.  s = ||u||^2 and
-        w = (s - 1) u are computed once, and the sublinear energy runs only
-        on the rows outside the unit ball."""
+        """(value, gradient), each None unless asked for.  cos, sin and the
+        copies of the outside rows run only when some row is inside the ball."""
         coords = np.asarray(coords, dtype=float)
         u = np.atleast_2d(coords)
         s = np.square(self.space.norm(u))
-        out = np.flatnonzero(s > 1.0)
-        uo, so = u[out], s[out]
-        w = (so - 1.0)[:, None] * uo
+        outside = s > 1.0
+        mixed = not outside.all()
+        out = np.flatnonzero(outside) if mixed else slice(None)
+        uo, so, p = u[out], s[out], self.inner_energy.p
+        a = so - 1.0
+        w = a[:, None] * uo
+        aw = np.abs(w)
+        r = aw ** p
         v = g = None
         if value:
-            v = 1.0 - np.cos(2.0 * np.pi * s)
-            if out.size:
-                v[out] = self.inner_energy.value_of(w)
+            v = 0.5 * (a * a * so) - self.space.trapezoid(aw * r) / (p + 1.0)
+            if mixed:
+                vo, v = v, 1.0 - np.cos(2.0 * np.pi * s)
+                v[out] = vo
         if grad:
-            g = 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
-            if out.size:
-                gj = self.inner_energy.grad_of(w)
-                cross = self.space.inner(gj, uo)
-                g[out] = (so - 1.0)[:, None] * gj + 2.0 * cross[:, None] * uo
+            load = np.sign(w) * r
+            cross = a * so - self.space.trapezoid(load * uo)
+            g = a[:, None] * (w - self.space.riesz_of_load(load)) + 2.0 * cross[:, None] * uo
+            if mixed:
+                go, g = g, 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
+                g[out] = go
         if coords.ndim == 1:
             v = None if v is None else v[0]
             g = None if g is None else g[0]

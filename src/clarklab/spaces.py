@@ -7,8 +7,8 @@ Two space tags are supported:
   the parameter t and the rest are the sequence entries.
 * ``H01Grid(nodes)``     -- interior nodal values of a uniform grid on
   (0, 1) with zero boundary conditions.  The inner product is the
-  discrete Dirichlet form, so norms approximate the H^1_0 norm and
-  gradients of functionals are Riesz representatives with respect to it.
+  Dirichlet form <u, v> = v . to_dual(u), so norms approximate the H^1_0
+  norm and gradients of functionals are Riesz representatives in it.
 
 All vector operations accept batches: arrays of shape (..., dim).
 ``row_sum`` is the kernel for sums over a short last axis.
@@ -55,9 +55,6 @@ def row_sum(a):
 @dataclass(frozen=True)
 class L2Truncation:
     dim: int
-
-    def inner(self, u, v):
-        return row_sum(np.asarray(u) * np.asarray(v))
 
     def norm(self, u):
         # np.linalg.norm(u, axis=-1) of a float u: the sqrt of the sum of u * u
@@ -133,11 +130,6 @@ class H01Grid:
         padded = np.zeros(u.shape[:-1] + (u.shape[-1] + 2,))
         padded[..., 1:-1] = u
         return np.subtract(padded[..., 1:], padded[..., :-1])
-
-    def inner(self, u, v):
-        du = self._cell_differences(u)
-        dv = self._cell_differences(v)
-        return np.add.reduce(du * dv, axis=-1) / self.mesh_width
 
     def norm(self, u):
         du = self._cell_differences(u)

@@ -493,6 +493,77 @@ def test_wrapper_gradient_passes_fd_across_the_seam_region():
         assert report.max_rel_error < 1e-5
 
 
+def _wrapper_composition(f, u):
+    """The wrapper written out as the composition it stands for: J's own
+    value_of and grad_of at w = (s - 1) u outside the ball, and the cross
+    term <grad J(w), u>_H through cell differences.  Also returns, per row,
+    the sum of the magnitudes of the terms each outside value and gradient
+    is summed from: the scale their rounding is relative to, as J(w) and
+    the gradient cancel to 0 on some rows."""
+    J, grid = f.inner_energy, f.space
+    s = np.square(grid.norm(u))
+    a = s - 1.0
+    w = a[:, None] * u
+    gj = J.grad_of(w)
+    dg = np.diff(gj, axis=-1, prepend=0.0, append=0.0)
+    du = np.diff(u, axis=-1, prepend=0.0, append=0.0)
+    cross = np.sum(dg * du, axis=-1) / grid.mesh_width
+    value = J.value_of(w)
+    grad = a[:, None] * gj + 2.0 * cross[:, None] * u
+    value_scale = 0.5 * a * a * s + grid.trapezoid(np.abs(w) ** (J.p + 1.0)) / (J.p + 1.0)
+    # |a| (||w|| + ||A^-1(h load)||) + 2 (|a| s + |h load.u|) ||u||
+    grad_scale = (np.abs(a) * (grid.norm(w) + grid.norm(w - gj))
+                  + 2.0 * (np.abs(a) * s + np.abs(a * s - cross)) * np.sqrt(s))
+    return s, value, grad, value_scale, grad_scale
+
+
+# squared norms drawn on each side of the seam, and in the band |s - 1| <= 1e-3
+# where the wide rows creep
+WRAPPER_BANDS = {"inside": (0.0, 0.95), "outside": (1.05, 3.0), "seam": (1.0 - 1e-3, 1.0 + 1e-3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(nodes=st.integers(1, 12), bands=st.lists(st.sampled_from(sorted(WRAPPER_BANDS)),
+                                                min_size=1, max_size=6),
+       data=st.data())
+def test_wrapper_equals_the_composition_it_stands_for(nodes, bands, data):
+    # the wrapper reads J((s - 1) u) and its cross term from s and one power;
+    # the composition must agree to 1e-12 of its terms' magnitudes outside
+    # the ball, and bit for bit inside
+    f = wrapper_functional(H01Grid(nodes))
+    dirs = data.draw(hnp.arrays(np.float64, (len(bands), nodes),
+                                elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    dirs[f.space.norm(dirs) < 1e-3] = 1.0
+    target = np.array([data.draw(st.floats(*WRAPPER_BANDS[b])) for b in bands])
+    u = dirs * (np.sqrt(target) / f.space.norm(dirs))[:, None]
+    value, grad = f.value_and_grad(u)
+    s, ref_value, ref_grad, value_scale, grad_scale = _wrapper_composition(f, u)
+    outside = s > 1.0
+    inside = ~outside
+    assert value[inside].tobytes() == (1.0 - np.cos(2.0 * np.pi * s[inside])).tobytes()
+    assert grad[inside].tobytes() == (4.0 * np.pi * np.sin(2.0 * np.pi * s[inside])[:, None]
+                                      * u[inside]).tobytes()
+    assert np.all(np.abs(value - ref_value)[outside] <= 1e-12 * value_scale[outside])
+    assert np.all(f.space.norm(grad - ref_grad)[outside] <= 1e-12 * grad_scale[outside])
+
+
+def test_an_outside_batch_takes_one_norm_one_riesz_solve_and_no_inner_energy_call(
+        monkeypatch):
+    f = wrapper_functional(H01Grid(10))
+    u = np.random.default_rng(0).normal(size=(40, 10))
+    u *= (1.5 / f.space.norm(u))[:, None]
+    calls = {}
+    for cls, name in ((H01Grid, "norm"), (H01Grid, "riesz_of_load"),
+                      (SublinearEnergy, "value_of"), (SublinearEnergy, "grad_of")):
+        calls[name] = 0
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, x, name=name, real=real:
+                            calls.__setitem__(name, calls[name] + 1) or real(self, x))
+    value, grad = f.value_and_grad(u)
+    assert value.shape == (40,) and grad.shape == (40, 10)
+    assert calls == {"norm": 1, "riesz_of_load": 1, "value_of": 0, "grad_of": 0}
+
+
 # ---------------------------------------------------------------------------
 # property tests: evenness of every functional
 

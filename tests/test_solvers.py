@@ -13,6 +13,7 @@ from clarklab.models import (
     ClarkModel,
     CriticalSetOracle,
     SublinearEnergy,
+    WrapperFunctional,
     classify_model_point,
     wrapper_functional,
 )
@@ -241,6 +242,54 @@ def test_small_ball_rows_reach_the_quartic_bottom_in_few_steps():
         assert row.stop == STOP_CONVERGED and row.steps <= 100
         assert np.isfinite(row.flow_time)
         assert f.space.norm(row.coords) < 1e-3
+
+
+class _ComposedWrapper(WrapperFunctional):
+    """The wrapper as it evaluated J((s - 1) u) before its radial identities:
+    SublinearEnergy's own value_of and grad_of on the outside rows, and the
+    cross term <grad J(w), u>_H through the cell differences of both."""
+
+    def _evaluate(self, coords, value, grad):
+        u = np.atleast_2d(np.asarray(coords, dtype=float))
+        s = np.square(self.space.norm(u))
+        out = np.flatnonzero(s > 1.0)
+        uo, so = u[out], s[out]
+        w = (so - 1.0)[:, None] * uo
+        v = 1.0 - np.cos(2.0 * np.pi * s)
+        g = 4.0 * np.pi * np.sin(2.0 * np.pi * s)[:, None] * u
+        if out.size:
+            v[out] = self.inner_energy.value_of(w)
+            gj = self.inner_energy.grad_of(w)
+            dg = np.diff(gj, axis=-1, prepend=0.0, append=0.0)
+            du = np.diff(uo, axis=-1, prepend=0.0, append=0.0)
+            cross = np.add.reduce(dg * du, axis=-1) / self.space.mesh_width
+            g[out] = (so - 1.0)[:, None] * gj + 2.0 * cross[:, None] * uo
+        return v, g
+
+
+def test_wrapper_flows_keep_the_stops_and_steps_of_the_composed_evaluation():
+    # the radial identities move the wrapper's rounding, not its flows: each
+    # row keeps its stop and step count, and its terminal within 1e-12.
+    # Criterion 08's mix, smaller: wide seeds that creep along the seam or
+    # fall to the origin, seeds pinned on the seam, and small-ball seeds
+    f = wrapper_functional(H01Grid(6))
+    space = f.space
+    rng = np.random.default_rng(8)
+    wide = ball_seed_sampler(space, 2.0, rng, 24)
+    on_seam = wide[:8] / space.norm(wide[:8])[:, None]
+    seeds = np.concatenate([wide, on_seam])
+    s = np.square(space.norm(seeds))
+    assert (s < 1.0).any() and (s > 1.0).any() and (np.abs(s - 1.0) < 1e-12).sum() == 8
+    stops = []
+    for batch, cfg in ((seeds, SolveConfig(max_flow_time=1e3)),
+                       (ball_seed_sampler(space, 0.3, rng, 8), SolveConfig())):
+        rows = gradient_flow_solve_batch(f, batch, cfg)
+        expected = gradient_flow_solve_batch(_ComposedWrapper(space), batch, cfg)
+        for a, b in zip(rows, expected, strict=True):
+            assert (a.stop, a.steps) == (b.stop, b.steps)
+            assert np.max(np.abs(a.coords - b.coords)) <= 1e-12
+            stops.append((a.stop, a.steps > 0))
+    assert set(stops) == {(STOP_CONVERGED, False), (STOP_CONVERGED, True), (STOP_BUDGET, True)}
 
 
 # ---------------------------------------------------------------------------

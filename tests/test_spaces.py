@@ -13,7 +13,8 @@ def test_l2_inner_norm_dual_are_euclidean():
     s = L2Truncation(3)
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([0.0, 1.0, -1.0])
-    assert s.inner(u, v) == 0.0
+    # the inner product is v . to_dual(u)
+    assert v @ s.to_dual(u) == 0.0
     assert s.norm(u) == 3.0
     assert np.array_equal(s.to_dual(v), v)
 
@@ -23,7 +24,7 @@ def test_l2_norm_and_inner_operate_rowwise_on_batches():
     u = np.array([[3.0, 4.0], [1.0, 0.0]])
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert np.allclose(s.norm(u), [5.0, 1.0])
-    assert np.allclose(s.inner(u, v), [3.0, 0.0])
+    assert np.allclose(row_sum(v * s.to_dual(u)), [3.0, 0.0])
 
 
 # entries with every special value, and magnitudes far apart, so that the
@@ -87,14 +88,15 @@ def test_h01_riesz_inverts_the_stiffness_action():
 
 
 def test_h01_riesz_representative_reproduces_load_pairing():
-    # <riesz(f), w>_H01 = integral f w for every grid function w
+    # <riesz(f), w>_H01 = w . A riesz(f) = integral f w for every grid
+    # function w
     g = H01Grid(60)
     rng = np.random.default_rng(4)
     f = rng.normal(size=60)
     v = g.riesz_of_load(f)
     for _ in range(5):
         w = rng.normal(size=60)
-        assert g.inner(v, w) == pytest.approx(g.trapezoid(f * w), abs=1e-12)
+        assert float(w @ g.to_dual(v)) == pytest.approx(g.trapezoid(f * w), abs=1e-12)
 
 
 def _cho_solve_banded_riesz(g, f):
@@ -152,17 +154,17 @@ def _grid_vector_pairs(draw):
 @example(pair=(np.zeros((0, 3)), np.zeros((0, 3))))
 def test_h01_norm_and_inner_equal_the_np_diff_formula_bit_for_bit(pair):
     # the formula the kernels had, written out: np.diff over the vector
-    # extended by zero boundaries
+    # extended by zero boundaries.  The inner product <u, v> is v . to_dual(u),
+    # and to_dual takes the differences of those cell differences
     u, v = pair
     g = H01Grid(u.shape[-1])
     h = g.mesh_width
     du = np.diff(u, axis=-1, prepend=0.0, append=0.0)
-    dv = np.diff(v, axis=-1, prepend=0.0, append=0.0)
     norm = np.asarray(g.norm(u))
-    inner = np.asarray(g.inner(u, v))
-    assert norm.shape == inner.shape == u.shape[:-1]
+    dual = g.to_dual(u)
+    assert norm.shape == u.shape[:-1] and dual.shape == u.shape
     assert norm.tobytes() == np.asarray(np.sqrt(np.sum(du * du, axis=-1) / h)).tobytes()
-    assert inner.tobytes() == np.asarray(np.sum(du * dv, axis=-1) / h).tobytes()
+    assert dual.tobytes() == ((du[..., :-1] - du[..., 1:]) / h).tobytes()
 
 
 def test_h01_grid_rejects_a_size_below_one_node():
@@ -173,11 +175,17 @@ def test_h01_grid_rejects_a_size_below_one_node():
 
 
 def test_h01_inner_is_the_stiffness_bilinear_form():
+    # v . to_dual(u) is the Dirichlet form: the sum over cells of the
+    # products of the two vectors' differences, over h, and so symmetric
     g = H01Grid(25)
     rng = np.random.default_rng(5)
     u = rng.normal(size=25)
     v = rng.normal(size=25)
-    assert g.inner(u, v) == pytest.approx(float(v @ g.to_dual(u)), rel=1e-12)
+    du = np.diff(u, prepend=0.0, append=0.0)
+    dv = np.diff(v, prepend=0.0, append=0.0)
+    form = float(du @ dv) / g.mesh_width
+    assert float(v @ g.to_dual(u)) == pytest.approx(form, rel=1e-12)
+    assert float(u @ g.to_dual(v)) == pytest.approx(form, rel=1e-12)
 
 
 def test_point_norm_inner_distance():
@@ -185,7 +193,7 @@ def test_point_norm_inner_distance():
     p = Point(np.array([1.0, 0.0, 0.0]), s)
     q = Point(np.array([0.0, 1.0, 0.0]), s)
     assert s.norm(p.coords) == 1.0
-    assert s.inner(p.coords, q.coords) == 0.0
+    assert q.coords @ s.to_dual(p.coords) == 0.0
     assert s.norm(Point(p.coords - q.coords, s).coords) == pytest.approx(np.sqrt(2.0))
 
 
